@@ -8,7 +8,9 @@ predicts raw data directly without the training-time standardization step.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,7 @@ def read_delimited(path):
     """
     names = None
     rows = []
+    line_nos = []
     delim = "\t"
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -73,11 +76,22 @@ def read_delimited(path):
                         f"{path}: line {ln}, column {names[ci]!r}: "
                         f"not a number: {cell.strip()!r}") from None
             rows.append(row)
+            line_nos.append(ln)
     if names is None:
         raise DataFormatError(f"{path}: empty file")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return names, np.vstack(rows)
+    matrix = np.vstack(rows)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, ci = np.argwhere(~finite)[0]
+        with open(path) as fh:  # only on failure: fetch the cell's text
+            line = next(itertools.islice(fh, line_nos[i] - 1, None))
+        cell = line.rstrip("\r\n").split(delim)[ci].strip()
+        raise DataFormatError(
+            f"{path}: line {line_nos[i]}, column {names[ci]!r}: "
+            f"not a finite number: {cell!r}")
+    return names, matrix
 
 
 def split_columns(names, matrix, y_col=None, z_cols=()):
@@ -151,14 +165,63 @@ def _fit_to_dict(fit: PliableFit) -> dict:
     }
 
 
-def _fit_from_dict(d: dict, p: int, k: int, lam: float, alpha: float) -> PliableFit:
+def _need(doc, key, where, kind=None):
+    """``doc[key]``, which must exist and, given ``kind``, be of that type."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DataFormatError(f"{where}: missing key {key!r}")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise DataFormatError(f"{where}: {key!r} is not a {kind.__name__}")
+    return doc[key]
+
+
+def _int_in(v, lo, hi=None) -> bool:
+    """True for an integer (not a boolean) in [lo, hi)."""
+    return (isinstance(v, int) and not isinstance(v, bool) and v >= lo
+            and (hi is None or v < hi))
+
+
+def _number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _sparse_entries(d: dict, key: str, bounds: tuple, where: str):
+    """Entries ``[index, ..., value]`` of a sparse coefficient list, each
+    index an integer inside its bound and each value a finite number."""
+    entries = _need(d, key, where, list)
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == len(bounds) + 1
+                and _number(e[-1])):
+            raise DataFormatError(f"{where}: malformed {key!r} entry {e!r}")
+        for idx, bound in zip(e, bounds):
+            if not _int_in(idx, 0, bound):
+                raise DataFormatError(
+                    f"{where}: {key!r} entry {e!r} has index {idx!r} "
+                    f"outside [0, {bound})")
+    return entries
+
+
+def _fit_from_dict(d: dict, p: int, k: int, lam: float, alpha: float,
+                   where: str) -> PliableFit:
+    beta0 = _need(d, "beta0", where)
+    theta0 = _need(d, "theta0", where)
+    if not _number(beta0):
+        raise DataFormatError(f"{where}: 'beta0' is not a finite number")
+    if not (isinstance(theta0, list) and len(theta0) == k
+            and all(map(_number, theta0))):
+        raise DataFormatError(
+            f"{where}: 'theta0' is not a list of {k} finite numbers")
     beta = np.zeros(p)
-    for j, v in d["beta"]:
-        beta[int(j)] = v
+    for j, v in _sparse_entries(d, "beta", (p,), where):
+        beta[j] = v
     rows = {}
-    for j, kk, v in d["theta"]:
-        rows.setdefault(int(j), np.zeros(k))[int(kk)] = v
-    return PliableFit(d["beta0"], np.asarray(d["theta0"], dtype=float),
+    for j, kk, v in _sparse_entries(d, "theta", (p, k), where):
+        rows.setdefault(j, np.zeros(k))[kk] = v
+    return PliableFit(beta0, np.asarray(theta0, dtype=float),
                       beta, rows, lam, alpha)
 
 
@@ -171,11 +234,17 @@ def _smap_to_dict(smap: StandardizationMap) -> dict:
     }
 
 
-def _smap_from_dict(d: dict) -> StandardizationMap:
-    return StandardizationMap(
-        np.asarray(d["x_means"], dtype=float), np.asarray(d["x_scales"], dtype=float),
-        np.asarray(d["z_means"], dtype=float), np.asarray(d["z_scales"], dtype=float),
-        d["y_mean"], d["standardize_x"], d["standardize_z"], d["center_y"])
+_SMAP_KEYS = ("x_means", "x_scales", "z_means", "z_scales", "y_mean",
+              "standardize_x", "standardize_z", "center_y")
+
+
+def _smap_from_dict(d: dict, where: str) -> StandardizationMap:
+    v = [_need(d, key, where) for key in _SMAP_KEYS]
+    try:
+        arrays = [np.asarray(a, dtype=float) for a in v[:4]]
+    except (TypeError, ValueError):
+        raise DataFormatError(f"{where}: non-numeric means or scales") from None
+    return StandardizationMap(*arrays, *v[4:])
 
 
 def save_model(path, result: PathResult, cv=None, invocation=None,
@@ -244,25 +313,65 @@ class LoadedModel:
             Z = np.asarray(Z, dtype=float)
         if index is None:
             index = self.default_index()
+        if not 0 <= index < self.n_lambdas:
+            raise IndexError(
+                f"index {index} is out of range: the model has "
+                f"{self.n_lambdas} penalty levels, indices 0 to "
+                f"{self.n_lambdas - 1}")
         return predict(self.fits[index], X, Z)
 
 
 def load_model(path) -> LoadedModel:
+    """Read a model file written by ``save_model``.
+
+    Raises ``DataFormatError`` naming the offending key or entry when the
+    file is not a model of the supported schema: a missing key, an index
+    outside the model's dimensions, a non-finite coefficient, or fits and
+    lambdas of different lengths.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("schema_version")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise DataFormatError(f"{path}: not a JSON model file: {exc}") from None
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise DataFormatError(
             f"{path}: unsupported model schema {version!r}, "
             f"expected {MODEL_SCHEMA_VERSION}")
-    p, k = doc["n_predictors"], doc["n_modifiers"]
-    alpha = doc["alpha"]
-    lambdas = np.asarray(doc["lambdas"], dtype=float)
-    fits = tuple(_fit_from_dict(d, p, k, lam, alpha)
-                 for d, lam in zip(doc["fits"], lambdas))
+    where = str(path)
+    p, k = _need(doc, "n_predictors", where), _need(doc, "n_modifiers", where)
+    for key, dim, least in (("n_predictors", p, 1), ("n_modifiers", k, 0)):
+        if not _int_in(dim, least):
+            raise DataFormatError(f"{where}: {key!r} must be an integer >= {least}")
+    alpha = _need(doc, "alpha", where)
+    if not _number(alpha):
+        raise DataFormatError(f"{where}: 'alpha' is not a finite number")
+    lambdas = _need(doc, "lambdas", where, list)
+    if not all(map(_number, lambdas)):
+        raise DataFormatError(f"{where}: 'lambdas' holds a non-finite entry")
+    fits = _need(doc, "fits", where, list)
+    if len(fits) != len(lambdas):
+        raise DataFormatError(
+            f"{where}: 'fits' has {len(fits)} entries, 'lambdas' "
+            f"{len(lambdas)}")
+    lambdas = np.asarray(lambdas, dtype=float)
+    fits = tuple(_fit_from_dict(d, p, k, lam, alpha, f"{where}: fits[{i}]")
+                 for i, (d, lam) in enumerate(zip(fits, lambdas)))
+    cv = doc.get("cv")
+    if cv is not None and not _int_in(_need(cv, "idx_min", f"{where}: cv"),
+                                      0, len(fits)):
+        raise DataFormatError(
+            f"{where}: cv 'idx_min' {cv['idx_min']!r} outside [0, {len(fits)})")
+    for key in ("x_columns", "z_columns"):
+        names = doc.get(key)
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(c, str) for c in names)):
+            raise DataFormatError(f"{where}: {key!r} is not a list of names")
     return LoadedModel(
         alpha=alpha, lambdas=lambdas, fits=fits,
-        smap=_smap_from_dict(doc["standardization"]),
-        diagnostics=tuple(doc["diagnostics"]),
+        smap=_smap_from_dict(_need(doc, "standardization", where, dict),
+                             f"{where}: standardization"),
+        diagnostics=tuple(_need(doc, "diagnostics", where, list)),
         x_columns=doc.get("x_columns"), z_columns=doc.get("z_columns"),
-        cv=doc.get("cv"), invocation=doc.get("invocation"))
+        cv=cv, invocation=doc.get("invocation"))

@@ -14,6 +14,7 @@ pass.  Data is assumed standardized (see preprocess); nothing here rescales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,9 @@ class SolverConfig:
 
     ``tol_obj`` bounds the relative objective change over a full pass and
     ``tol_kkt`` the largest subgradient violation; both must hold to declare
-    convergence.  ``step_init`` scales the per-group step 1/L estimated from
-    the block Gram matrix.  ``screen``/``nesterov`` toggle the zero-block
-    certificate and momentum in the joint block loop.  The standardization
-    flags are consumed by the path/CV drivers, not by fit_single_lambda.
+    convergence.  ``screen``/``nesterov`` toggle the zero-block certificate
+    and momentum in the joint block loop.  The standardization flags are
+    consumed by the path/CV drivers, not by fit_single_lambda.
     """
 
     alpha: float = 0.5
@@ -75,8 +75,6 @@ class SolverConfig:
     tol_kkt: float = 1e-4
     max_outer_iters: int = 1000
     max_prox_iters: int = 500
-    step_init: float = 1.0
-    backtrack_shrink: float = 0.8
     nesterov: bool = True
     screen: bool = True
     standardize_x: bool = True
@@ -90,10 +88,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1 or self.max_prox_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.backtrack_shrink < 1:
-            raise ValueError("backtrack_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -133,11 +127,12 @@ def soft_threshold(x, t):
     """S(x, t) = sign(x) max(|x| - t, 0), elementwise.  Requires t >= 0."""
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
-    if np.isscalar(x) or np.ndim(x) == 0:
-        x = float(x)
-        return np.sign(x) * max(abs(x) - t, 0.0)
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    if type(x) is not np.ndarray or not x.ndim:  # n-d arrays skip the checks
+        if np.isscalar(x) or np.ndim(x) == 0:
+            x = float(x)
+            return np.sign(x) * max(abs(x) - t, 0.0)
+        x = np.asarray(x, dtype=float)
+    return np.copysign(np.maximum(np.abs(x) - t, 0.0), x)
 
 
 def _zero_budget(a, rho):
@@ -160,7 +155,7 @@ def solve_norm_system(g1: float, g2: float, c: float):
     if min(g1, g2, c) < 0:
         raise ValueError("solve_norm_system inputs must be nonnegative")
     bb = g2 - c if g2 > c else 0.0
-    root = float(np.hypot(g1, bb))
+    root = math.hypot(g1, bb)
     if root <= c:
         return 0.0, 0.0
     scale = (root - c) / root
@@ -174,15 +169,16 @@ def prox_group(zeta_beta: float, zeta_theta: np.ndarray, c: float, l1: float):
     so the map composes: soft-threshold theta entries, group-shrink theta,
     group-shrink the joint block.  The magnitudes solve the norm system above.
     """
+    zb = float(zeta_beta)
     zt = np.asarray(zeta_theta, dtype=float)
     t1 = soft_threshold(zt, l1)
-    g2 = float(np.linalg.norm(t1))
-    a, b = solve_norm_system(abs(zeta_beta), g2, c)
+    g2 = math.sqrt(t1 @ t1)
+    a, b = solve_norm_system(abs(zb), g2, c)
     if a == 0.0 and b == 0.0:
         return 0.0, np.zeros_like(zt)
-    beta = float(np.sign(zeta_beta)) * a
+    beta = a if zb >= 0.0 else -a
     theta = t1 * (b / g2) if b > 0.0 else np.zeros_like(zt)
-    if not (np.isfinite(beta) and np.all(np.isfinite(theta))):
+    if not (math.isfinite(beta) and np.isfinite(theta).all()):
         raise ProxSolveError(
             "proximal map produced non-finite values",
             diagnostics={"zeta_beta": zeta_beta, "g2": g2, "c": c, "l1": l1})
@@ -281,8 +277,8 @@ def update_intercepts(data: Dataset, fit: PliableFit,
 
 
 class Workspace:
-    """Per-dataset caches reused across a path: interaction blocks and step
-    sizes for active groups, column norms, and the intercept projector."""
+    """Per-dataset caches reused across a path: the joint-move blocks of
+    groups that take one, column norms, and the intercept projector."""
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -292,25 +288,26 @@ class Workspace:
         # pseudoinverse handles a rank-deficient Z (e.g. Z identically zero)
         # with the minimum-norm intercepts instead of failing mid-fit
         self._a_pinv = np.linalg.pinv(A)
-        self._w: dict[int, np.ndarray] = {}
-        self._step: dict[int, float] = {}
+        self._block: dict[int, tuple] = {}
+
+    def block(self, j: int):
+        """(D_j, G_j, 1/L_j) with D_j = [X_j, W_j], G_j = D_j'D_j / N and L_j
+        the largest eigenvalue of G_j, the exact Lipschitz constant of the
+        block loss gradient."""
+        got = self._block.get(j)
+        if got is None:
+            data = self.data
+            d = np.empty((data.n_samples, data.n_modifiers + 1))
+            d[:, 0] = data.X[:, j]
+            d[:, 1:] = interaction_block(data.X, data.Z, j)
+            gram = d.T @ d / data.n_samples
+            lip = float(np.linalg.eigvalsh(gram)[-1])
+            got = (d, gram, 1.0 / lip if lip > 0 else 1.0)
+            self._block[j] = got
+        return got
 
     def w(self, j: int) -> np.ndarray:
-        got = self._w.get(j)
-        if got is None:
-            got = interaction_block(self.data.X, self.data.Z, j)
-            self._w[j] = got
-        return got
-
-    def step(self, j: int) -> float:
-        """1 / L_j with L_j the largest eigenvalue of [X_j W_j]'[X_j W_j] / N."""
-        got = self._step.get(j)
-        if got is None:
-            d = np.column_stack([self.data.X[:, j], self.w(j)])
-            lip = float(np.linalg.eigvalsh(d.T @ d)[-1]) / self.data.n_samples
-            got = 1.0 / lip if lip > 0 else 1.0
-            self._step[j] = got
-        return got
+        return self.block(j)[0][:, 1:]
 
     def solve_intercepts(self, target):
         return self._a_pinv @ target
@@ -320,52 +317,45 @@ class Workspace:
 # joint block minimization (inner loop)
 
 
-def _block_minimize(D, r_mj, g0, lam, alpha, cfg: SolverConfig, t0, n):
-    """Minimize the block objective from g0 by proximal gradient with
-    backtracking and restarted momentum.  Monotone in the block objective."""
-    rho = (1.0 - alpha) * lam
-    mu = alpha * lam
-    inv2n = 0.5 / n
+def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
+    """Minimize the block objective from g0 by proximal gradient with the
+    fixed step t = 1/L and restarted momentum.  Monotone in the block
+    objective.
 
-    def smooth(g):
-        e = r_mj - D @ g
-        return float(e @ e) * inv2n
+    With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
+    is 0.5 g'G g - c'g + half_rr for G = D'D/N, c = D'r/N and
+    half_rr = r'r/2N, so every iteration works on (K+1)-vectors only.  Since
+    L bounds the curvature of that quadratic exactly, the sufficient-decrease
+    test of a backtracking search always passes at t = 1/L.
+    """
 
-    def total(g, sm):
-        tn = float(np.linalg.norm(g[1:]))
-        return (sm + rho * (float(np.hypot(g[0], tn)) + tn)
-                + mu * float(np.abs(g[1:]).sum()))
+    def total(g):
+        th = g[1:]
+        tn = math.sqrt(th @ th)
+        return (0.5 * float(g @ (gram @ g)) - float(c @ g) + half_rr
+                + rho * (math.hypot(g[0], tn) + tn)
+                + mu * float(np.abs(th).sum()))
 
     g = np.array(g0, dtype=float)
-    f = total(g, smooth(g))
+    f = total(g)
     g_prev = g
-    t = t0
     k = 1
-    tol = 0.05 * cfg.tol_kkt
+    tol = 0.05 * cfg.tol_kkt * t
+    # the gradient step y - t (G y - c) as one affine map
+    a_mat = np.eye(c.size) - t * gram
+    tc = t * c
+    t_rho, t_mu = t * rho, t * mu
     for _ in range(cfg.max_prox_iters):
         if cfg.nesterov and k > 1:
             y = g + ((k - 1.0) / (k + 2.0)) * (g - g_prev)
         else:
             y = g
-        e_y = r_mj - D @ y
-        l_y = float(e_y @ e_y) * inv2n
-        grad = -(D.T @ e_y) / n
-        while True:
-            beta_new, theta_new = prox_group(y[0] - t * grad[0],
-                                             y[1:] - t * grad[1:],
-                                             t * rho, t * mu)
-            g_new = np.empty_like(g)
-            g_new[0] = beta_new
-            g_new[1:] = theta_new
-            d = g_new - y
-            l_new = smooth(g_new)
-            bound = l_y + float(grad @ d) + float(d @ d) / (2.0 * t)
-            if l_new <= bound + 1e-12 * max(1.0, abs(bound)):
-                break
-            t *= cfg.backtrack_shrink
-            if t <= 1e-3 * t0:
-                break
-        f_new = total(g_new, l_new)
+        z = a_mat @ y + tc
+        beta_new, theta_new = prox_group(z[0], z[1:], t_rho, t_mu)
+        g_new = np.empty_like(g)
+        g_new[0] = beta_new
+        g_new[1:] = theta_new
+        f_new = total(g_new)
         if f_new > f + 1e-12 * max(1.0, abs(f)):
             if cfg.nesterov and k > 1:
                 # momentum overshot; restart the sequence from the incumbent
@@ -373,14 +363,19 @@ def _block_minimize(D, r_mj, g0, lam, alpha, cfg: SolverConfig, t0, n):
                 g_prev = g
                 continue
             break
-        moved = float(np.max(np.abs(g_new - g)))
+        # after a momentum step a small move from the incumbent does not
+        # make g_new stationary; a small move from y, where the gradient was
+        # taken, does: the prox-gradient map T is nonexpansive for t <= 1/L,
+        # so ||T(g_new) - g_new||_2 <= ||g_new - y||_2
+        done = (np.abs(g_new - g).max() <= tol
+                and (y is g or np.abs(g_new - y).max() <= tol))
         g_prev = g
         g = g_new
         f = f_new
         k += 1
-        if moved <= tol * t:
+        if done:
             break
-    return g, f
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +523,27 @@ class _Fitter:
         if self.cfg.screen:
             a = float(x_j @ r_mj) / n
             if not was_active and abs(a) <= self.rho:
-                q = data.Z.T @ (x_j * r_mj) / n
-                if float(np.linalg.norm(soft_threshold(q, self.mu))) \
-                        <= float(_zero_budget(a, self.rho)):
+                sq = soft_threshold(data.Z.T @ (x_j * r_mj) / n, self.mu)
+                if math.sqrt(sq @ sq) <= float(_zero_budget(a, self.rho)):
                     return False
             if self.ws.xnorm2[j] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             bhat = soft_threshold(a, self.rho) * n / self.ws.xnorm2[j]
             resid_b = r_mj - x_j * bhat
-            q2 = data.Z.T @ (x_j * resid_b) / n
-            if float(np.linalg.norm(soft_threshold(q2, self.mu))) <= self.rho:
+            sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
+            if math.sqrt(sq @ sq) <= self.rho:
                 changed = ((bhat != 0.0) != (b_old != 0.0)) or row_old is not None
                 self.beta[j] = bhat
                 self.theta.pop(j, None)
                 self.r = resid_b
                 return changed
-        w = self.ws.w(j)
-        d_mat = np.empty((n, data.n_modifiers + 1))
-        d_mat[:, 0] = x_j
-        d_mat[:, 1:] = w
+        d, gram, t = self.ws.block(j)
         g0 = np.zeros(data.n_modifiers + 1)
         g0[0] = b_old
         if row_old is not None:
             g0[1:] = row_old
-        t0 = self.cfg.step_init * self.ws.step(j)
-        g, _ = _block_minimize(d_mat, r_mj, g0, self.lam, self.cfg.alpha,
-                               self.cfg, t0, n)
+        g = _block_minimize(gram, d.T @ r_mj / n, 0.5 * float(r_mj @ r_mj) / n,
+                            g0, self.rho, self.mu, t, self.cfg)
         b_new = g[0]
         row_new = g[1:]
         has_row = bool(np.any(row_new != 0.0))
@@ -563,7 +553,7 @@ class _Fitter:
             self.theta[j] = row_new
         else:
             self.theta.pop(j, None)
-        self.r = r_mj - d_mat @ g
+        self.r = r_mj - d @ g
         return changed
 
     def _kkt(self):

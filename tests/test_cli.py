@@ -263,10 +263,27 @@ class TestExitCodes:
         model = tmp_path / "m.json"
         main(["fit", "--data", str(data), "--z-cols", "w",
               "--model", str(model), "--nlambda", "4"])
-        rc = main(["predict", "--model", str(model), "--data", str(data),
-                   "--index", "99"])
-        assert rc == 1
-        capsys.readouterr()
+        # 4 levels: indices 0 to 3; -1 must not wrap to the last level
+        for index in ("-1", "4", "99"):
+            rc = main(["predict", "--model", str(model), "--data", str(data),
+                       "--index", index])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"index {index} is out of range" in err
+            assert "indices 0 to 3" in err
+
+    def test_malformed_model_is_2(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        write_training_file(data, seed=5)
+        model = tmp_path / "m.json"
+        main(["fit", "--data", str(data), "--z-cols", "w",
+              "--model", str(model), "--nlambda", "4"])
+        doc = json.loads(model.read_text())
+        del doc["alpha"]
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--model", str(model), "--data", str(data)])
+        assert rc == 2
+        assert "missing key 'alpha'" in capsys.readouterr().err
 
     def test_data_errors_are_2(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.tsv"),

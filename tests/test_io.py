@@ -55,6 +55,14 @@ class TestReadDelimited:
         with pytest.raises(DataFormatError, match="no data rows"):
             read_delimited(hdr)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, cell):
+        f = tmp_path / "d.tsv"
+        f.write_text(f"# note\na\tb\n1\t2\n\n3\t{cell}\n")
+        with pytest.raises(DataFormatError, match=rf"line 5, column 'b': "
+                           rf"not a finite number: '{cell}'"):
+            read_delimited(f)
+
     def test_float_round_trip_through_text(self, tmp_path):
         vals = [0.1, 1 / 3, 1e-17, -2.5e300]
         f = tmp_path / "d.tsv"
@@ -178,3 +186,44 @@ class TestModelFile:
             np.testing.assert_array_equal(got.beta, raw.beta)
             np.testing.assert_array_equal(got.theta, raw.theta)
             assert got.lam == float(path.lambdas[i])
+
+
+def _drop_alpha(doc):
+    del doc["alpha"]
+
+
+def _set_beta_index(j):
+    def mutate(doc):
+        doc["fits"][-1]["beta"][0][0] = j
+    return mutate
+
+
+def _set_theta_modifier(kk):
+    def mutate(doc):
+        doc["fits"][-1]["theta"][0][1] = kk
+    return mutate
+
+
+def _drop_last_fit(doc):
+    doc["fits"].pop()
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("mutate, message", [
+        (_drop_alpha, r"missing key 'alpha'"),
+        (_set_beta_index(-1), r"fits\[7\]: 'beta' entry .* index -1 outside \[0, 4\)"),
+        (_set_beta_index(4), r"fits\[7\]: 'beta' entry .* index 4 outside \[0, 4\)"),
+        (_set_theta_modifier(2), r"fits\[7\]: 'theta' entry .* index 2 outside \[0, 2\)"),
+        (_drop_last_fit, r"'fits' has 7 entries, 'lambdas' 8"),
+    ], ids=["missing_key", "negative_beta_index", "beta_index_ge_p",
+            "theta_index_ge_k", "fits_lambdas_mismatch"])
+    def test_rejected_with_offending_entry(self, tmp_path, mutate, message):
+        _, path, _ = small_path()
+        f = tmp_path / "model.json"
+        save_model(f, path)
+        doc = json.loads(f.read_text())
+        assert doc["fits"][-1]["beta"] and doc["fits"][-1]["theta"]
+        mutate(doc)
+        f.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            load_model(f)

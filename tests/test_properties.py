@@ -9,12 +9,14 @@ import os
 import tempfile
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from plasso.io import load_model, save_model
 from plasso.model import Dataset
 from plasso.path import fit_path, lambda_max
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
-from plasso.solver import SolverConfig, fit_single_lambda
+from plasso.solver import (SolverConfig, Workspace, _block_minimize,
+                           fit_single_lambda, prox_group)
 
 _TIGHT = dict(tol_kkt=1e-8, tol_obj=1e-12)
 
@@ -132,3 +134,42 @@ def test_saved_models_predict_identically():
 
 def test_generators_deterministic_in_seed():
     assert run_generator_suite() == []
+
+
+def _block_objective(d, r, g, rho, mu):
+    """The block objective recomputed from the N-length residual."""
+    e = r - d @ g
+    tn = float(np.linalg.norm(g[1:]))
+    return (float(e @ e) / (2.0 * r.size) + rho * (float(np.hypot(g[0], tn)) + tn)
+            + mu * float(np.abs(g[1:]).sum()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       k=st.integers(0, 4), lam=st.floats(1e-3, 1.5),
+       alpha=st.floats(0.0, 0.99), warm=st.booleans())
+def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    Z = rng.standard_normal((n, k))
+    r = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
+    g0 = rng.standard_normal(k + 1) if warm else np.zeros(k + 1)
+    # no iteration cap, so the loop ends by its stopping rule, which is the
+    # property checked; a block left at the cap (possible when N <= K makes
+    # the block Gram matrix singular) is revisited by the outer passes
+    cfg = SolverConfig(alpha=alpha, max_prox_iters=100_000)
+    rho, mu = (1.0 - alpha) * lam, alpha * lam
+    ws = Workspace(Dataset(r, x[:, None], Z))
+    d, gram, t = ws.block(0)
+    c = d.T @ r / n
+    g = _block_minimize(gram, c, 0.5 * float(r @ r) / n, g0, rho, mu, t, cfg)
+
+    # one more prox-gradient step from the output must not move it by more
+    # than the inner stopping tolerance allows: sqrt(K+1) * 0.05 tol_kkt t
+    z = g - t * (gram @ g - c)
+    beta, theta = prox_group(z[0], z[1:], t * rho, t * mu)
+    step = np.concatenate([[beta], theta]) - g
+    assert float(np.max(np.abs(step))) <= np.sqrt(k + 1) * 0.05 * cfg.tol_kkt * t
+
+    f0 = _block_objective(d, r, g0, rho, mu)
+    assert _block_objective(d, r, g, rho, mu) <= f0 + 1e-12 * max(1.0, abs(f0))
