@@ -226,6 +226,11 @@ def _as_xz(fit: PliableFit, X, Z):
             f"Z has {Z.shape[1]} columns, fit expects {fit.n_modifiers}")
     if Z.shape[0] != X.shape[0]:
         raise DimensionError(f"Z has {Z.shape[0]} rows, X has {X.shape[0]}")
+    for name, arr in (("X", X), ("Z", Z)):
+        if not np.isfinite(arr).all():
+            row, col = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"{name} has a non-finite value {arr[row, col]} "
+                             f"at row {row}, column {col}")
     return X, Z
 
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from .model import Dataset, PliableFit, predict
 from .preprocess import StandardizationMap, destandardize_fit, standardize
-from .solver import (ConvergenceError, SolverConfig, Workspace,
-                     fit_single_lambda, soft_threshold)
+from .solver import (ConvergenceError, SolverConfig, Workspace, _pulls,
+                     _zero_slack, fit_single_lambda)
 
 __all__ = [
     "LambdaDiagnostics",
@@ -28,6 +28,7 @@ class LambdaDiagnostics:
     n_active_groups: int
     n_active_theta_rows: int
     kkt_max: float
+    n_prox_capped: int
 
 
 @dataclass(frozen=True)
@@ -76,49 +77,15 @@ class PathResult:
         return out + self.smap.y_mean
 
 
-def _group_zero_threshold(a: float, q: np.ndarray, alpha: float,
-                          rel_tol: float = 1e-10) -> float:
-    """Smallest lam at which block (a, q) certifies zero:
-
-        |a| <= rho   and   ||S(q, alpha lam)||_2 <= rho + sqrt(rho^2 - a^2)
-
-    with rho = (1-alpha) lam.  Both sides are monotone in lam, so bisection;
-    the upper end of the bracket is returned.
-    """
-    a = abs(float(a))
-    lo = a / (1.0 - alpha)
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        return lo
-    hi = max(lo, qn / (1.0 - alpha))
-
-    def holds(lam):
-        rho = (1.0 - alpha) * lam
-        budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
-        return rho >= a and \
-            float(np.linalg.norm(soft_threshold(q, alpha * lam))) <= budget
-
-    if holds(lo):
-        return lo
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def lambda_max(data: Dataset, alpha: float) -> float:
     """Smallest penalty at which every block's zero certificate holds, with
     the residual taken after the intercept-only least squares on (1, Z).
 
-    Per block the certificate couples lam on both sides through the
-    soft threshold, so the theta part is solved by monotone bisection; the
-    upper end of the final bracket is returned so a fit at the result is
-    exactly all-zero.
+    The certificate slack of each block is monotone in lam, so all blocks
+    are bisected at once between |a|/(1-alpha), where a block with no
+    theta pull already certifies, and max(|a|, ||q||)/(1-alpha); the upper
+    end of each final bracket is taken so a fit at the result is exactly
+    all-zero.
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -126,15 +93,27 @@ def lambda_max(data: Dataset, alpha: float) -> float:
     A = np.column_stack([np.ones(n), data.Z])
     coef = np.linalg.pinv(A) @ data.y
     r = data.y - A @ coef
-    a_all = data.X.T @ r / n
-    best = float(np.abs(a_all).max()) / (1.0 - alpha)
-    if data.n_modifiers:
-        q_all = data.X.T @ (data.Z * r[:, None]) / n
-        for j in range(data.n_predictors):
-            best = max(best, _group_zero_threshold(a_all[j], q_all[j], alpha))
+    a, q = _pulls(data.X, data.Z, r)
+    scale = 1.0 - alpha
+    lo = np.abs(a) / scale
+    hi = np.maximum(lo, np.sqrt(np.square(q).sum(axis=1)) / scale)
+    out = lo.copy()
+    todo = np.nonzero(_zero_slack(a, q, scale * lo, alpha * lo) > 0.0)[0]
+    lo, hi = lo[todo], hi[todo]
+    for _ in range(200):
+        done = hi - lo <= 1e-10 * hi
+        out[todo[done]] = hi[done]
+        todo, lo, hi = todo[~done], lo[~done], hi[~done]
+        if not todo.size:
+            break
+        mid = 0.5 * (lo + hi)
+        holds = _zero_slack(a[todo], q[todo], scale * mid, alpha * mid) <= 0.0
+        hi = np.where(holds, mid, hi)
+        lo = np.where(holds, lo, mid)
+    out[todo] = hi
     # a hair of slack so the certificate still holds when the solver
     # accumulates the pulls in a different order than the sums above
-    return best * (1.0 + 1e-12)
+    return float(out.max()) * (1.0 + 1e-12)
 
 
 def default_lambda_min_ratio(n: int, p: int, k: int) -> float:
@@ -189,7 +168,8 @@ def fit_path(data: Dataset, config: SolverConfig | None = None,
             n_passes=d.n_passes,
             n_active_groups=len(fit.active_groups),
             n_active_theta_rows=len(fit.theta_rows),
-            kkt_max=d.kkt.max_violation))
+            kkt_max=d.kkt.max_violation,
+            n_prox_capped=d.n_prox_capped))
         warm = fit
     return PathResult(lambdas=grid, fits=tuple(fits), diagnostics=tuple(diags),
                       smap=smap, alpha=cfg.alpha)

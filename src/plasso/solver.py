@@ -121,6 +121,8 @@ class FitDiagnostics:
     n_passes: int
     kkt: KktReport
     objective_per_pass: tuple = ()
+    # joint-block solves cut at max_prox_iters; the outer passes revisit them
+    n_prox_capped: int = 0
 
 
 def soft_threshold(x, t):
@@ -140,6 +142,30 @@ def _zero_budget(a, rho):
     the group-norm ball can spend only sqrt(rho^2 - a^2) on theta once it
     absorbs the beta pull, plus rho from the theta-only norm."""
     return rho + np.sqrt(np.maximum(rho * rho - np.square(a), 0.0))
+
+
+def _pulls(X, Z, r):
+    """(a, q) = (X'r / N, X'(Z o r) / N): the pull of residual r on each
+    group's main effect and on its modifier row, one row per column of X.
+    For K = 0, q has shape (p, 0)."""
+    n = r.shape[0]
+    a = X.T @ r / n
+    q = X.T @ (Z * r[:, None]) / n
+    return a, q
+
+
+def _zero_slack(a, q, rho, mu):
+    """Zero-certificate slack of blocks with pulls (a, q), <= 0 exactly
+    where the block certifies zero:
+
+        max(|a| - rho, ||S(q, mu)||_2 - rho - sqrt(max(rho^2 - a^2, 0))).
+
+    ``q`` has one row per entry of ``a`` (a scalar ``a`` takes a 1-d ``q``);
+    ``rho`` = (1-alpha) lam and ``mu`` = alpha lam are scalars or one value
+    per group."""
+    excess = np.maximum(np.abs(q) - np.asarray(mu)[..., None], 0.0)
+    norm = np.sqrt(np.square(excess).sum(axis=-1))
+    return np.maximum(np.abs(a) - rho, norm - _zero_budget(a, rho))
 
 
 def solve_norm_system(g1: float, g2: float, c: float):
@@ -196,18 +222,10 @@ def screen_group(j: int, r_minus_j, lam: float, alpha: float, data: Dataset) -> 
         || S(W_j' r / N, alpha lam) ||_2
             <= (1-alpha) lam + sqrt(((1-alpha) lam)^2 - (X_j' r / N)^2),
 
-    the two bounds coupled because the joint group norm must absorb the
-    beta pull before it can spend anything on theta.
+    the same test the fitter's screening and KKT report apply.
     """
-    r = np.asarray(r_minus_j, dtype=float)
-    n = data.n_samples
-    rho = (1.0 - alpha) * lam
-    a = float(data.X[:, j] @ r) / n
-    if abs(a) > rho:
-        return False
-    q = data.Z.T @ (data.X[:, j] * r) / n
-    return float(np.linalg.norm(soft_threshold(q, alpha * lam))) \
-        <= float(_zero_budget(a, rho))
+    a, q = _pulls(data.X[:, j:j + 1], data.Z, np.asarray(r_minus_j, dtype=float))
+    return bool(_zero_slack(a, q, (1.0 - alpha) * lam, alpha * lam)[0] <= 0.0)
 
 
 def beta_only_update(j: int, r_minus_j, lam: float, alpha: float, data: Dataset) -> float:
@@ -320,7 +338,8 @@ class Workspace:
 def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
     """Minimize the block objective from g0 by proximal gradient with the
     fixed step t = 1/L and restarted momentum.  Monotone in the block
-    objective.
+    objective.  Returns the minimizer and whether the loop stopped before
+    ``cfg.max_prox_iters``.
 
     With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
     is 0.5 g'G g - c'g + half_rr for G = D'D/N, c = D'r/N and
@@ -362,7 +381,7 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
                 k = 1
                 g_prev = g
                 continue
-            break
+            return g, True
         # after a momentum step a small move from the incumbent does not
         # make g_new stationary; a small move from y, where the gradient was
         # taken, does: the prox-gradient map T is nonexpansive for t <= 1/L,
@@ -374,8 +393,8 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
         f = f_new
         k += 1
         if done:
-            break
-    return g
+            return g, True
+    return g, False
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +405,8 @@ def _kkt_arrays(data: Dataset, r, beta, theta_map, lam, alpha) -> KktReport:
     n, p = data.n_samples, data.n_predictors
     rho = (1.0 - alpha) * lam
     mu = alpha * lam
-    a_all = data.X.T @ r / n
-    q_all = data.X.T @ (data.Z * r[:, None]) / n if data.n_modifiers \
-        else np.zeros((p, 0))
-    sq = soft_threshold(q_all, mu) if data.n_modifiers else q_all
-    sq_norm = np.sqrt((sq ** 2).sum(axis=1))
-    per = np.maximum(np.abs(a_all) - rho, sq_norm - _zero_budget(a_all, rho))
-    np.maximum(per, 0.0, out=per)
+    a_all, q_all = _pulls(data.X, data.Z, r)
+    per = np.maximum(_zero_slack(a_all, q_all, rho, mu), 0.0)
     for j in range(p):
         b = beta[j]
         row = theta_map.get(j)
@@ -402,7 +416,8 @@ def _kkt_arrays(data: Dataset, r, beta, theta_map, lam, alpha) -> KktReport:
         gn = float(np.hypot(b, tn))
         res_b = abs(rho * b / gn - a_all[j])
         if row is None or tn == 0.0:
-            res_t = max(0.0, sq_norm[j] - rho)
+            sq = np.maximum(np.abs(q_all[j]) - mu, 0.0)
+            res_t = max(0.0, math.sqrt(sq @ sq) - rho)
         else:
             inner = rho * row * (1.0 / gn + 1.0 / tn) - q_all[j]
             nz = row != 0.0
@@ -454,6 +469,7 @@ class _Fitter:
             self.theta0 = np.zeros(k)
         self.r = data.y - self._state_prediction()
         self.n_passes = 0
+        self.n_prox_capped = 0
 
     def _state_prediction(self):
         data = self.data
@@ -498,13 +514,8 @@ class _Fitter:
         active = self._active()
         if not self.cfg.screen:
             return range(self.data.n_predictors)
-        n = self.data.n_samples
-        a_all = self.data.X.T @ self.r / n
-        fail = np.abs(a_all) > self.rho
-        if self.data.n_modifiers:
-            q_all = self.data.X.T @ (self.data.Z * self.r[:, None]) / n
-            sq = soft_threshold(q_all, self.mu)
-            fail |= np.sqrt((sq ** 2).sum(axis=1)) > _zero_budget(a_all, self.rho)
+        a, q = _pulls(self.data.X, self.data.Z, self.r)
+        fail = _zero_slack(a, q, self.rho, self.mu) > 0.0
         return sorted(active | set(np.nonzero(fail)[0].tolist()))
 
     def _update_group(self, j):
@@ -522,10 +533,9 @@ class _Fitter:
             r_mj = self.r
         if self.cfg.screen:
             a = float(x_j @ r_mj) / n
-            if not was_active and abs(a) <= self.rho:
-                sq = soft_threshold(data.Z.T @ (x_j * r_mj) / n, self.mu)
-                if math.sqrt(sq @ sq) <= float(_zero_budget(a, self.rho)):
-                    return False
+            if not was_active and abs(a) <= self.rho and _zero_slack(
+                    a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
+                return False
             if self.ws.xnorm2[j] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             bhat = soft_threshold(a, self.rho) * n / self.ws.xnorm2[j]
@@ -542,8 +552,10 @@ class _Fitter:
         g0[0] = b_old
         if row_old is not None:
             g0[1:] = row_old
-        g = _block_minimize(gram, d.T @ r_mj / n, 0.5 * float(r_mj @ r_mj) / n,
-                            g0, self.rho, self.mu, t, self.cfg)
+        g, stopped = _block_minimize(gram, d.T @ r_mj / n,
+                                     0.5 * float(r_mj @ r_mj) / n,
+                                     g0, self.rho, self.mu, t, self.cfg)
+        self.n_prox_capped += not stopped
         b_new = g[0]
         row_new = g[1:]
         has_row = bool(np.any(row_new != 0.0))
@@ -586,7 +598,8 @@ class _Fitter:
                     report = self._kkt()
                     if report.max_violation <= cfg.tol_kkt:
                         return self._build_fit(), FitDiagnostics(
-                            self.n_passes, report, tuple(obj_trace))
+                            self.n_passes, report, tuple(obj_trace),
+                            self.n_prox_capped)
                 full_pass = not self._active()
             elif rel < cfg.tol_obj:
                 full_pass = True

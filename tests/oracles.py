@@ -75,6 +75,42 @@ def _bisect(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def zero_threshold_oracle(X, Z, r, alpha):
+    """Smallest lam at which every block certifies zero at residual r.
+
+    Per group j, with a = x_j'r/N, q = (x_j o Z)'r/N and rho = (1-alpha) lam,
+    the certificate is
+
+        |a| <= rho   and   ||S(q, alpha lam)||_2 <= rho + sqrt(rho^2 - a^2);
+
+    each group's threshold is found by its own scalar bisection.
+    """
+    n, p = X.shape
+    k = Z.shape[1]
+    best = 0.0
+    for j in range(p):
+        a = 0.0
+        q = [0.0] * k
+        for i in range(n):
+            a += X[i, j] * r[i] / n
+            for m in range(k):
+                q[m] += X[i, j] * Z[i, m] * r[i] / n
+
+        def violation(lam):
+            rho = (1.0 - alpha) * lam
+            excess = 0.0
+            for v in q:
+                excess += max(abs(v) - alpha * lam, 0.0) ** 2
+            budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
+            return max(abs(a) - rho, np.sqrt(excess) - budget)
+
+        # at rho = 2 max(|a|, ||q||) both bounds hold with room to spare
+        hi = 2.0 * max(abs(a), np.sqrt(sum(v * v for v in q))) / (1.0 - alpha)
+        if hi > 0.0:
+            best = max(best, _bisect(violation, 0.0, hi))
+    return best
+
+
 def prox_oracle(zeta_beta, zeta_theta, c, l1):
     """Nested-bisection solution of the block proximal problem.
 

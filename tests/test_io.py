@@ -7,7 +7,7 @@ import pytest
 from plasso.cv import k_fold_cv
 from plasso.io import (MODEL_SCHEMA_VERSION, DataFormatError, load_model,
                        read_delimited, save_model, split_columns, write_table)
-from plasso.model import Dataset
+from plasso.model import Dataset, predict
 from plasso.path import fit_path
 
 
@@ -153,6 +153,21 @@ class TestModelFile:
         for j, v in stored.items():
             assert raw_last.beta[j] == v
         assert len(stored) == raw_last.n_nonzero_beta
+
+    @pytest.mark.parametrize("block, value", [("X", np.nan), ("Z", np.inf)])
+    @pytest.mark.parametrize("route", ["model", "path", "loaded"])
+    def test_predict_rejects_non_finite_input(self, tmp_path, route, block,
+                                              value):
+        data, path, _ = small_path()
+        save_model(tmp_path / "model.json", path)
+        predictors = {"model": lambda X, Z: predict(path.fits[4], X, Z),
+                      "path": lambda X, Z: path.predict(X, Z, index=4),
+                      "loaded": load_model(tmp_path / "model.json").predict}
+        X, Z = data.X.copy(), data.Z.copy()
+        (X if block == "X" else Z)[3, 1] = value
+        with pytest.raises(ValueError, match=f"{block} has a non-finite "
+                                             f"value .* at row 3, column 1"):
+            predictors[route](X, Z)
 
     def test_cv_section_and_default_index(self, tmp_path):
         data, path, cv = small_path(with_cv=True)

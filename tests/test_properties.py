@@ -9,14 +9,18 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from plasso.io import load_model, save_model
-from plasso.model import Dataset
+from plasso.model import Dataset, PliableFit
 from plasso.path import fit_path, lambda_max
+from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
 from plasso.solver import (SolverConfig, Workspace, _block_minimize,
-                           fit_single_lambda, prox_group)
+                           check_kkt, fit_single_lambda, prox_group)
+
+from oracles import zero_threshold_oracle
 
 _TIGHT = dict(tol_kkt=1e-8, tol_obj=1e-12)
 
@@ -162,7 +166,9 @@ def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
     ws = Workspace(Dataset(r, x[:, None], Z))
     d, gram, t = ws.block(0)
     c = d.T @ r / n
-    g = _block_minimize(gram, c, 0.5 * float(r @ r) / n, g0, rho, mu, t, cfg)
+    g, stopped = _block_minimize(gram, c, 0.5 * float(r @ r) / n, g0, rho, mu,
+                                 t, cfg)
+    assert stopped
 
     # one more prox-gradient step from the output must not move it by more
     # than the inner stopping tolerance allows: sqrt(K+1) * 0.05 tol_kkt t
@@ -173,3 +179,31 @@ def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
 
     f0 = _block_objective(d, r, g0, rho, mu)
     assert _block_objective(d, r, g, rho, mu) <= f0 + 1e-12 * max(1.0, abs(f0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(2, 30),
+       p=st.integers(1, 6), k=st.integers(0, 4), alpha=st.floats(0.0, 0.99),
+       binary=st.booleans())
+def test_lambda_max_is_the_zero_certificate_threshold(seed, extra, p, k, alpha,
+                                                      binary):
+    rng = np.random.default_rng(seed)
+    n = k + 1 + extra  # the residual off (1, Z) keeps at least 2 dimensions
+    X = rng.standard_normal((n, p))
+    Z = (rng.random((n, k)) < 0.5).astype(float) if binary \
+        else rng.standard_normal((n, k))
+    assume(np.all(np.ptp(Z, axis=0) > 0.0))  # standardize rejects constants
+    y = rng.standard_normal(n) + X[:, 0] * (1.0 + Z.sum(axis=1))
+    std, _ = standardize(Dataset(y, X, Z if k else None), True, True, True)
+    A = np.column_stack([np.ones(n), std.Z])
+    coef = np.linalg.lstsq(A, std.y, rcond=None)[0]
+    lmax = lambda_max(std, alpha)
+    oracle = zero_threshold_oracle(std.X, std.Z, std.y - A @ coef, alpha)
+    assert lmax == pytest.approx(oracle, rel=1e-9)
+
+    # the intercept-only fit is certified at lambda_max and not just below
+    fit = PliableFit(coef[0], coef[1:], np.zeros(p), {}, lmax, alpha)
+    assert check_kkt(fit, std).per_group.max() <= 1e-12
+    if lmax > 0.0:
+        below = check_kkt(fit, std, lam=lmax * (1.0 - 1e-6))
+        assert below.per_group.max() > 0.0

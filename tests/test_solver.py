@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plasso.model import Dataset, PliableFit, interaction_block, objective, predict
+from plasso.path import fit_path, lambda_max
 from plasso.solver import (ConvergenceError, GroupState, SolverConfig,
                            Workspace, beta_only_update, check_kkt,
                            fit_single_lambda, prox_group, prox_joint_update,
@@ -338,6 +339,28 @@ class TestFitSingleLambda:
         err = info.value
         assert isinstance(err.fit, PliableFit)
         assert err.kkt.max_violation > 0.0
+
+    def test_capped_joint_solves_are_counted(self):
+        # Z's columns are collinear, so the block Gram matrix [x, x o Z] is
+        # singular and at a small penalty some joint solves reach
+        # max_prox_iters; the outer passes still certify the fit
+        rng = np.random.default_rng(32)
+        n = 12
+        X = rng.standard_normal((n, 2))
+        z = rng.standard_normal(n)
+        data = Dataset(rng.standard_normal(n), X, np.column_stack([z, 2.0 * z]))
+        cfg = SolverConfig(alpha=0.5, standardize_x=False, standardize_z=False,
+                           center_y=False)
+        lam = 1e-3 * lambda_max(data, cfg.alpha)
+        result = fit_path(data, cfg, lambdas=[lam])
+        assert result.diagnostics[0].n_prox_capped > 0
+        assert result.diagnostics[0].kkt_max <= cfg.tol_kkt
+        assert check_kkt(result.fits[0], data).max_violation <= cfg.tol_kkt
+        _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
+        assert diag.n_prox_capped == result.diagnostics[0].n_prox_capped
+        _, diag = fit_single_lambda(toy_data(rng), 0.1, cfg,
+                                    return_diagnostics=True)
+        assert diag.n_prox_capped == 0
 
     def test_workspace_reuse_and_mismatch(self):
         rng = np.random.default_rng(16)
