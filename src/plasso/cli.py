@@ -61,12 +61,13 @@ def _metrics_rows(result, y, yhat_all):
         mse = float(((yhat_all[:, i] - y) ** 2).mean())
         rows.append([result.lambdas[i], fit.n_nonzero_beta,
                      len(fit.theta_rows), fit.n_nonzero_coefficients,
-                     d.n_passes, d.kkt_max, mse, _theta_row_label(fit)])
+                     d.n_passes, d.kkt_max, d.n_prox_capped, mse,
+                     _theta_row_label(fit)])
     return rows
 
 
 _METRIC_NAMES = ["lambda", "n_beta", "n_theta_rows", "n_nonzero", "n_passes",
-                 "kkt_max", "train_mse", "theta_rows"]
+                 "kkt_max", "n_prox_capped", "train_mse", "theta_rows"]
 
 
 def cmd_fit(args, invocation):

@@ -11,18 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, PliableFit, predict
+from .model import Dataset
 from .path import PathResult, fit_path
 from .preprocess import StandardizationError
 from .solver import SolverConfig
 
-__all__ = ["CvResult", "evaluate", "k_fold_cv"]
-
-
-def evaluate(fit: PliableFit, data: Dataset) -> float:
-    """Mean squared prediction error of ``fit`` on ``data`` (same coordinates)."""
-    resid = data.y - predict(fit, data.X, data.Z)
-    return float(resid @ resid) / data.n_samples
+__all__ = ["CvResult", "k_fold_cv"]
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,8 @@ def run_hte_scenario(scenario: str, seed: int = 0,
 
 @dataclass(frozen=True)
 class UnknownZConfig:
-    """Alternation settings.
+    """Alternation settings.  Gamma starts at the least-squares fit of y on
+    the standardized X.
 
     ``lam`` fixes the sparsity penalty; when None it is chosen once by CV at
     the initial gamma and then held fixed so the enlarged objective stays
@@ -170,7 +171,6 @@ class UnknownZConfig:
     lam: float | None = None
     cv_lambda_fraction: float = 0.3
     lambda2: float | None = None
-    gamma_init: str = "least_squares"
     final_cv: bool = True
     cv_folds: int = 10
     n_lambda: int = 30
@@ -181,8 +181,6 @@ class UnknownZConfig:
             raise ValueError("n_cycles must be >= 1")
         if not 0.0 < self.cv_lambda_fraction <= 1.0:
             raise ValueError("cv_lambda_fraction must be in (0, 1]")
-        if self.gamma_init != "least_squares":
-            raise ValueError(f"unknown gamma_init {self.gamma_init!r}")
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,8 @@ def save_model(path, result: PathResult, cv=None, invocation=None,
         "diagnostics": [
             {"n_passes": d.n_passes, "n_active_groups": d.n_active_groups,
              "n_active_theta_rows": d.n_active_theta_rows,
-             "kkt_max": d.kkt_max} for d in result.diagnostics],
+             "kkt_max": d.kkt_max, "n_prox_capped": d.n_prox_capped}
+            for d in result.diagnostics],
     }
     if x_columns is not None:
         doc["x_columns"] = list(x_columns)

@@ -256,6 +256,18 @@ class PenaltyValue:
     total: float
 
 
+def _penalty_sums(beta, theta_rows) -> tuple:
+    """(group, l1) = (sum_j ||(beta_j, theta_j)||_2 + ||theta_j||_2,
+    sum_{j,k} |theta_jk|) for main effects ``beta`` and the nonzero modifier
+    rows ``theta_rows`` (index -> row)."""
+    row_norm = np.zeros(beta.shape[0])
+    l1 = 0.0
+    for j, row in theta_rows.items():
+        row_norm[j] = np.linalg.norm(row)
+        l1 += float(np.abs(row).sum())
+    return float((np.hypot(beta, row_norm) + row_norm).sum()), l1
+
+
 def objective(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> PenaltyValue:
     """Penalized objective
 
@@ -274,12 +286,7 @@ def objective(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> PenaltyVa
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     resid = data.y - predict(fit, data.X, data.Z)
     loss = float(resid @ resid) / (2.0 * data.n_samples)
-    row_norm = np.zeros(fit.n_predictors)
-    l1 = 0.0
-    for j, row in fit.theta_rows.items():
-        row_norm[j] = np.linalg.norm(row)
-        l1 += float(np.abs(row).sum())
-    group = float((np.hypot(fit.beta, row_norm) + row_norm).sum())
+    group, l1 = _penalty_sums(fit.beta, fit.theta_rows)
     for name, value in (("loss", loss), ("group", group), ("l1", l1)):
         if not np.isfinite(value):
             raise ValueError(f"objective {name} term is not finite")

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, PliableFit, interaction_block, predict
+from .model import (Dataset, PliableFit, _penalty_sums, interaction_block,
+                    predict)
 
 __all__ = [
     "SolverConfig",
-    "GroupState",
     "KktReport",
     "FitDiagnostics",
     "ConvergenceError",
@@ -32,11 +32,6 @@ __all__ = [
     "soft_threshold",
     "solve_norm_system",
     "prox_group",
-    "screen_group",
-    "beta_only_update",
-    "screen_theta",
-    "prox_joint_update",
-    "update_intercepts",
     "fit_single_lambda",
     "check_kkt",
 ]
@@ -65,9 +60,9 @@ class SolverConfig:
 
     ``tol_obj`` bounds the relative objective change over a full pass and
     ``tol_kkt`` the largest subgradient violation; both must hold to declare
-    convergence.  ``screen``/``nesterov`` toggle the zero-block certificate
-    and momentum in the joint block loop.  The standardization flags are
-    consumed by the path/CV drivers, not by fit_single_lambda.
+    convergence.  ``screen`` toggles the zero-block certificate; the joint
+    block loop always runs momentum with restart.  The standardization flags
+    are consumed by the path/CV drivers, not by fit_single_lambda.
     """
 
     alpha: float = 0.5
@@ -75,7 +70,6 @@ class SolverConfig:
     tol_kkt: float = 1e-4
     max_outer_iters: int = 1000
     max_prox_iters: int = 500
-    nesterov: bool = True
     screen: bool = True
     standardize_x: bool = True
     standardize_z: bool = True
@@ -88,16 +82,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1 or self.max_prox_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-
-
-@dataclass(frozen=True)
-class GroupState:
-    """One predictor's block: coefficients plus its cached interaction block."""
-
-    j: int
-    beta_j: float
-    theta_j: np.ndarray
-    w_j: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -212,85 +196,6 @@ def prox_group(zeta_beta: float, zeta_theta: np.ndarray, c: float, l1: float):
 
 
 # ---------------------------------------------------------------------------
-# public single-block operations
-
-
-def screen_group(j: int, r_minus_j, lam: float, alpha: float, data: Dataset) -> bool:
-    """True when the zero certificate holds for block j at its partial residual:
-
-        |X_j' r / N| <= (1-alpha) lam   and
-        || S(W_j' r / N, alpha lam) ||_2
-            <= (1-alpha) lam + sqrt(((1-alpha) lam)^2 - (X_j' r / N)^2),
-
-    the same test the fitter's screening and KKT report apply.
-    """
-    a, q = _pulls(data.X[:, j:j + 1], data.Z, np.asarray(r_minus_j, dtype=float))
-    return bool(_zero_slack(a, q, (1.0 - alpha) * lam, alpha * lam)[0] <= 0.0)
-
-
-def beta_only_update(j: int, r_minus_j, lam: float, alpha: float, data: Dataset) -> float:
-    """Exact minimizer over beta_j with theta_j pinned at zero:
-
-        (N / ||X_j||^2) S(X_j' r / N, (1-alpha) lam).
-    """
-    x_j = data.X[:, j]
-    xn2 = float(x_j @ x_j)
-    if xn2 == 0.0:
-        raise ValueError(f"X column {j} is identically zero")
-    a = float(x_j @ np.asarray(r_minus_j, dtype=float)) / data.n_samples
-    return soft_threshold(a, (1.0 - alpha) * lam) * data.n_samples / xn2
-
-
-def screen_theta(j: int, r_minus_j, beta_j_hat: float, lam: float,
-                 alpha: float, data: Dataset) -> bool:
-    """True when theta_j = 0 is optimal given beta_j = beta_j_hat:
-
-        || S(W_j' (r - X_j beta_j_hat) / N, alpha lam) ||_2 <= (1-alpha) lam .
-    """
-    x_j = data.X[:, j]
-    r = np.asarray(r_minus_j, dtype=float) - x_j * beta_j_hat
-    q = data.Z.T @ (x_j * r) / data.n_samples
-    return float(np.linalg.norm(soft_threshold(q, alpha * lam))) <= (1.0 - alpha) * lam
-
-
-def prox_joint_update(j: int, state: GroupState, r_minus_j, lam: float,
-                      alpha: float, t: float, data: Dataset) -> GroupState:
-    """One proximal gradient step of length t on block j from ``state``."""
-    if t <= 0:
-        raise ValueError(f"step must be positive, got {t}")
-    x_j = data.X[:, j]
-    w = state.w_j if state.w_j is not None else interaction_block(data.X, data.Z, j)
-    n = data.n_samples
-    resid = np.asarray(r_minus_j, dtype=float) - x_j * state.beta_j
-    if state.theta_j.shape[0]:
-        resid = resid - w @ state.theta_j
-    gb = -float(x_j @ resid) / n
-    gt = -(w.T @ resid) / n
-    beta_new, theta_new = prox_group(state.beta_j - t * gb,
-                                     state.theta_j - t * gt,
-                                     t * (1.0 - alpha) * lam,
-                                     t * alpha * lam)
-    return GroupState(j, beta_new, theta_new, w)
-
-
-def update_intercepts(data: Dataset, fit: PliableFit,
-                      allow_rank_deficient: bool = False):
-    """Refit (beta0, theta0) by least squares of the fit's residual on (1, Z).
-
-    Returns the new ``(beta0, theta0)``.  Raises on a rank-deficient design
-    unless ``allow_rank_deficient`` picks the minimum-norm solution.
-    """
-    target = (data.y - predict(fit, data.X, data.Z)
-              + fit.beta0 + (data.Z @ fit.theta0 if data.n_modifiers else 0.0))
-    A = np.column_stack([np.ones(data.n_samples), data.Z])
-    coef, _, rank, _ = np.linalg.lstsq(A, target, rcond=None)
-    if rank < A.shape[1] and not allow_rank_deficient:
-        raise np.linalg.LinAlgError(
-            f"intercept design (1, Z) has rank {rank} < {A.shape[1]}")
-    return float(coef[0]), coef[1:]
-
-
-# ---------------------------------------------------------------------------
 # workspace shared across penalty levels
 
 
@@ -365,7 +270,7 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
     tc = t * c
     t_rho, t_mu = t * rho, t * mu
     for _ in range(cfg.max_prox_iters):
-        if cfg.nesterov and k > 1:
+        if k > 1:
             y = g + ((k - 1.0) / (k + 2.0)) * (g - g_prev)
         else:
             y = g
@@ -376,7 +281,7 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
         g_new[1:] = theta_new
         f_new = total(g_new)
         if f_new > f + 1e-12 * max(1.0, abs(f)):
-            if cfg.nesterov and k > 1:
+            if k > 1:
                 # momentum overshot; restart the sequence from the incumbent
                 k = 1
                 g_prev = g
@@ -454,7 +359,7 @@ class _Fitter:
         self.ws = ws
         self.rho = (1.0 - cfg.alpha) * lam
         self.mu = cfg.alpha * lam
-        n, p, k = data.n_samples, data.n_predictors, data.n_modifiers
+        p, k = data.n_predictors, data.n_modifiers
         if warm is not None:
             if warm.n_predictors != p or warm.n_modifiers != k:
                 raise ValueError("warm start has wrong dimensions")
@@ -467,33 +372,14 @@ class _Fitter:
             self.theta = {}
             self.beta0 = 0.0
             self.theta0 = np.zeros(k)
-        self.r = data.y - self._state_prediction()
+        self.r = (data.y - predict(warm, data.X, data.Z) if warm is not None
+                  else data.y.copy())
         self.n_passes = 0
         self.n_prox_capped = 0
 
-    def _state_prediction(self):
-        data = self.data
-        yhat = np.full(data.n_samples, self.beta0)
-        if data.n_modifiers:
-            yhat += data.Z @ self.theta0
-        yhat += data.X @ self.beta
-        for j, row in self.theta.items():
-            yhat += data.X[:, j] * (data.Z @ row)
-        return yhat
-
     def _objective(self):
         loss = float(self.r @ self.r) / (2.0 * self.data.n_samples)
-        group = 0.0
-        l1 = 0.0
-        nonzero = np.nonzero(self.beta)[0]
-        covered = set(self.theta)
-        for j, row in self.theta.items():
-            tn = float(np.linalg.norm(row))
-            group += float(np.hypot(self.beta[j], tn)) + tn
-            l1 += float(np.abs(row).sum())
-        for j in nonzero:
-            if j not in covered:
-                group += abs(self.beta[j])
+        group, l1 = _penalty_sums(self.beta, self.theta)
         return loss + self.rho * group + self.mu * l1
 
     def _refresh_intercepts(self):

@@ -40,6 +40,12 @@ class TestFit:
                                             "n_theta_rows"]
         assert len(lines) == 12  # invocation + header + one row per lambda
         assert lines[2].split("\t")[-1] == "-"  # empty fit at lambda_max
+        # capped joint solves per level, in the table and the model file
+        col = lines[1].split("\t").index("n_prox_capped")
+        capped = [int(ln.split("\t")[col]) for ln in lines[2:]]
+        doc = json.loads(model.read_text())
+        assert capped == [d["n_prox_capped"] for d in doc["diagnostics"]]
+        assert capped == [d["n_prox_capped"] for d in loaded.diagnostics]
 
     def test_single_lambda_path_is_empty_fit(self, tmp_path):
         data = tmp_path / "d.tsv"

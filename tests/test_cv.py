@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from plasso.cv import CvResult, evaluate, k_fold_cv
-from plasso.model import Dataset, PliableFit, objective
+from plasso.cv import CvResult, k_fold_cv
+from plasso.model import Dataset, objective
+from plasso.path import fit_path
 
 
 def cv_data(rng, n=70, p=5, k=2):
@@ -13,21 +14,54 @@ def cv_data(rng, n=70, p=5, k=2):
     return Dataset(y, X, Z)
 
 
+def fold_sets(data, ids, f):
+    """(training, held-out) Datasets of fold f."""
+    def rows(mask):
+        return Dataset(data.y[mask], data.X[mask],
+                       data.Z[mask] if data.n_modifiers else None)
+    return rows(ids != f), rows(ids == f)
+
+
 class TestEvaluate:
+    """cv_mean is the held-out mean squared error, averaged over folds."""
+
     def test_zero_fit_is_mean_square(self):
-        y = np.array([1.0, -2.0, 3.0])
-        data = Dataset(y, np.zeros((3, 1)), None)
-        assert evaluate(PliableFit.zeros(1, 0), data) == \
-            pytest.approx(float(y @ y) / 3)
+        # every fold holds the same ten rows, so each training set (two
+        # copies) standardizes like the full data (three copies) and shares
+        # its all-zero penalty: at the top of the grid each fold fit is
+        # empty and predicts the mean
+        rng = np.random.default_rng(30)
+        y = rng.standard_normal(10) + 4.0
+        X = rng.standard_normal((10, 2))
+        data = Dataset(np.tile(y, 3), np.tile(X, (3, 1)), None)
+        ids = np.repeat(np.arange(3), 10)
+        res = k_fold_cv(data, folds=ids, n_lambda=5)
+        for f in range(3):
+            train, _ = fold_sets(data, ids, f)
+            top = fit_path(train, lambdas=res.lambdas).fits[0]
+            assert top.active_groups == ()
+        want = float(((y - y.mean()) ** 2).mean())
+        assert res.cv_mean[0] == pytest.approx(want, rel=1e-12)
+        assert res.cv_se[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_is_twice_the_objective_loss(self):
         rng = np.random.default_rng(31)
         data = cv_data(rng, n=30)
-        fit = PliableFit(0.3, np.array([0.1, -0.2]),
-                         np.array([1.0, 0, 0, 0, 0.5]),
-                         {0: np.array([0.4, 0.0])})
-        parts = objective(fit, data, lam=0.2, alpha=0.5)
-        assert evaluate(fit, data) == pytest.approx(2.0 * parts.loss, rel=1e-12)
+        ids = np.arange(30) % 3
+        res = k_fold_cv(data, folds=ids, n_lambda=8)
+        errs = np.empty((3, res.lambdas.size))
+        for f in range(3):
+            train, test = fold_sets(data, ids, f)
+            fold_path = fit_path(train, lambdas=res.lambdas)
+            preds = fold_path.predict(test.X, test.Z)
+            errs[f] = ((test.y[:, None] - preds) ** 2).mean(axis=0)
+            for i in range(res.lambdas.size):
+                loss = objective(fold_path.fit_raw(i), test).loss
+                assert errs[f, i] == pytest.approx(2.0 * loss, rel=1e-12)
+        np.testing.assert_allclose(res.cv_mean, errs.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(res.cv_se,
+                                   errs.std(axis=0, ddof=1) / np.sqrt(3),
+                                   rtol=1e-12)
 
 
 class TestKFoldCv:

@@ -141,8 +141,6 @@ class TestUnknownZConfig:
             UnknownZConfig(cv_lambda_fraction=0.0)
         with pytest.raises(ValueError, match="fraction"):
             UnknownZConfig(cv_lambda_fraction=1.5)
-        with pytest.raises(ValueError, match="gamma_init"):
-            UnknownZConfig(gamma_init="zeros")
 
     def test_rejects_data_with_modifiers(self):
         d = Dataset(np.zeros(5), np.ones((5, 2)), np.ones((5, 1)))

@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from plasso.io import save_model
 from plasso.model import Dataset, PliableFit, interaction_block, objective, predict
 from plasso.path import fit_path, lambda_max
-from plasso.solver import (ConvergenceError, GroupState, SolverConfig,
-                           Workspace, beta_only_update, check_kkt,
-                           fit_single_lambda, prox_group, prox_joint_update,
-                           screen_group, screen_theta, soft_threshold,
-                           solve_norm_system, update_intercepts)
+from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
+                           check_kkt, fit_single_lambda, prox_group,
+                           soft_threshold, solve_norm_system)
 
 from oracles import (lasso_cd, norm_equation_residuals, prox_objective,
                      prox_oracle)
@@ -126,89 +127,78 @@ class TestProxGroup:
 
 
 class TestSingleBlockOps:
-    def test_beta_only_frozen_case(self):
-        # X_j'r/N = 2 with unit-norm column scaling gives S(2, 0.5) = 1.5
-        n = 8
-        X = np.ones((n, 1))
-        Z = np.zeros((n, 1))
-        data = Dataset(np.zeros(n), X, Z)
-        r = np.full(n, 2.0)
-        assert beta_only_update(0, r, lam=1.0, alpha=0.5, data=data) == \
-            pytest.approx(1.5)
-
     def test_beta_only_zero_column_rejected(self):
-        data = Dataset(np.zeros(4), np.zeros((4, 1)), np.zeros((4, 1)))
+        # a warm start puts group 0 in the active set, so the beta-only move
+        # meets the all-zero column instead of the zero certificate
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.zeros(4), rng.standard_normal(4)])
+        data = Dataset(rng.standard_normal(4), X, np.ones((4, 1)))
+        warm = PliableFit(0.0, np.zeros(1), np.array([1.0, 0.0]), {})
         with pytest.raises(ValueError, match="column 0"):
-            beta_only_update(0, np.ones(4), 1.0, 0.5, data)
+            fit_single_lambda(data, 1.0, warm=warm)
 
-    def test_screen_group_passes_on_noise_fails_on_signal(self):
+    def test_zero_certificate_passes_on_noise_fails_on_signal(self):
         rng = np.random.default_rng(3)
         n = 200
         X = rng.standard_normal((n, 2))
         Z = rng.standard_normal((n, 2))
-        data = Dataset(np.zeros(n), X, Z)
+        zero = PliableFit.zeros(2, 2)
+
+        def slack(r, lam):
+            # the zero fit leaves r as the residual
+            return check_kkt(zero, Dataset(r, X, Z), lam, 0.5).per_group[0]
+
         noise = rng.standard_normal(n) * 0.01
-        assert screen_group(0, noise, lam=1.0, alpha=0.5, data=data)
+        assert slack(noise, 1.0) == 0.0
         strong = X[:, 0] * 3.0
-        assert not screen_group(0, strong, lam=1.0, alpha=0.5, data=data)
+        assert slack(strong, 1.0) > 0.0
         # the certificate is monotone in lam
-        assert screen_group(0, strong, lam=50.0, alpha=0.5, data=data)
+        assert slack(strong, 50.0) == 0.0
 
     def test_screen_theta(self):
         rng = np.random.default_rng(4)
         n = 300
         X = rng.standard_normal((n, 1))
         Z = rng.standard_normal((n, 1))
-        data = Dataset(np.zeros(n), X, Z)
+        cfg = SolverConfig(alpha=0.5)
         r = X[:, 0] * 2.0 + rng.standard_normal(n) * 0.01
-        bhat = beta_only_update(0, r, 0.5, 0.5, data)
-        assert screen_theta(0, r, bhat, lam=0.5, alpha=0.5, data=data)
+        fit = fit_single_lambda(Dataset(r, X, Z), 0.5, cfg)
+        assert fit.beta[0] != 0.0
+        assert 0 not in fit.theta_rows
         r_int = X[:, 0] * Z[:, 0] * 2.0
-        assert not screen_theta(0, r_int, 0.0, lam=0.5, alpha=0.5, data=data)
-
-    def test_prox_joint_step_validates(self):
-        data = toy_data(np.random.default_rng(0), n=20)
-        state = GroupState(0, 0.0, np.zeros(3))
-        with pytest.raises(ValueError, match="step"):
-            prox_joint_update(0, state, data.y, 0.5, 0.5, 0.0, data)
-
-    def test_prox_joint_step_caches_block(self):
-        data = toy_data(np.random.default_rng(1), n=30)
-        w = interaction_block(data.X, data.Z, 0)
-        bare = GroupState(0, 0.1, np.full(3, 0.2))
-        cached = GroupState(0, 0.1, np.full(3, 0.2), w)
-        out1 = prox_joint_update(0, bare, data.y, 0.3, 0.4, 0.05, data)
-        out2 = prox_joint_update(0, cached, data.y, 0.3, 0.4, 0.05, data)
-        assert out1.beta_j == out2.beta_j
-        np.testing.assert_array_equal(out1.theta_j, out2.theta_j)
-        assert out1.w_j is not None
+        fit = fit_single_lambda(Dataset(r_int, X, Z), 0.5, cfg)
+        assert 0 in fit.theta_rows
 
     def test_converged_block_is_prox_fixed_point(self):
         rng = np.random.default_rng(5)
         data = toy_data(rng, n=50, p=1, k=2)
         cfg = SolverConfig(tol_kkt=1e-10, tol_obj=1e-14)
-        fit = fit_single_lambda(data, 0.05, cfg)
-        r_mj = data.y - predict(fit, data.X, data.Z)
-        r_mj = r_mj + data.X[:, 0] * fit.beta[0]
-        row = fit.theta_rows.get(0)
-        if row is not None:
-            r_mj = r_mj + interaction_block(data.X, data.Z, 0) @ row
-        state = GroupState(0, fit.beta[0],
-                           row if row is not None else np.zeros(2))
-        out = prox_joint_update(0, state, r_mj, 0.05, cfg.alpha, 0.01, data)
-        assert out.beta_j == pytest.approx(fit.beta[0], abs=1e-7)
-        np.testing.assert_allclose(out.theta_j, state.theta_j, atol=1e-7)
+        lam, t = 0.05, 0.01
+        fit = fit_single_lambda(data, lam, cfg)
+        assert fit.beta[0] != 0.0 and 0 in fit.theta_rows
+        r = data.y - predict(fit, data.X, data.Z)
+        d = np.column_stack([data.X[:, 0],
+                             interaction_block(data.X, data.Z, 0)])
+        g = np.concatenate([[fit.beta[0]], fit.theta_row(0)])
+        z = g + t * (d.T @ r) / data.n_samples
+        beta, theta = prox_group(z[0], z[1:], t * (1.0 - cfg.alpha) * lam,
+                                 t * cfg.alpha * lam)
+        assert beta == pytest.approx(fit.beta[0], abs=1e-7)
+        np.testing.assert_allclose(theta, g[1:], atol=1e-7)
 
 
 class TestIntercepts:
+    """The intercepts of a fit above lambda_max, where every group is zero."""
+
     def test_residual_orthogonal_to_design(self):
         rng = np.random.default_rng(6)
-        data = toy_data(rng, n=40)
-        fit = PliableFit(0.0, np.zeros(3), np.array([1.0, 0, 0, 0, 0.5]),
-                         {0: np.array([0.2, 0.0, 0.0])})
-        b0, t0 = update_intercepts(data, fit)
-        new = PliableFit(b0, t0, fit.beta, dict(fit.theta_rows))
-        r = data.y - predict(new, data.X, data.Z)
+        base = toy_data(rng, n=40)
+        y = base.y + 3.0 + base.Z @ np.array([1.0, -2.0, 0.5])
+        data = Dataset(y, base.X, base.Z)
+        lam = 2.0 * lambda_max(data, 0.5)
+        fit = fit_single_lambda(data, lam, SolverConfig(alpha=0.5))
+        assert fit.active_groups == ()
+        r = data.y - predict(fit, data.X, data.Z)
         assert abs(r.mean()) < 1e-10
         assert np.abs(data.Z.T @ r).max() / len(r) < 1e-10
 
@@ -217,21 +207,22 @@ class TestIntercepts:
         y = rng.standard_normal(30) + 4.0
         X = rng.standard_normal((30, 2))
         data = Dataset(y, X, None)
-        fit = PliableFit.zeros(2, 0)
-        b0, t0 = update_intercepts(data, fit)
-        assert t0.shape == (0,)
-        assert b0 == pytest.approx(y.mean())
+        fit = fit_single_lambda(data, 2.0 * lambda_max(data, 0.5))
+        assert fit.active_groups == ()
+        assert fit.theta0.shape == (0,)
+        assert fit.beta0 == pytest.approx(y.mean())
 
-    def test_rank_deficient_raises_unless_allowed(self):
+    def test_rank_deficient_takes_minimum_norm(self):
         y = np.arange(6.0)
         X = np.ones((6, 1))
         Z = np.ones((6, 1))  # collinear with the intercept column
         data = Dataset(y, X, Z)
-        fit = PliableFit.zeros(1, 1)
-        with pytest.raises(np.linalg.LinAlgError):
-            update_intercepts(data, fit)
-        b0, t0 = update_intercepts(data, fit, allow_rank_deficient=True)
-        assert b0 + t0[0] == pytest.approx(y.mean())
+        assert lambda_max(data, 0.5) < 1e-12
+        fit = fit_single_lambda(data, 1.0)
+        assert fit.active_groups == ()
+        assert fit.beta0 + fit.theta0[0] == pytest.approx(y.mean())
+        # the minimum-norm split of the intercept sum is even
+        assert fit.beta0 == pytest.approx(fit.theta0[0])
 
 
 class TestFitSingleLambda:
@@ -340,7 +331,7 @@ class TestFitSingleLambda:
         assert isinstance(err.fit, PliableFit)
         assert err.kkt.max_violation > 0.0
 
-    def test_capped_joint_solves_are_counted(self):
+    def test_capped_joint_solves_are_counted(self, tmp_path):
         # Z's columns are collinear, so the block Gram matrix [x, x o Z] is
         # singular and at a small penalty some joint solves reach
         # max_prox_iters; the outer passes still certify the fit
@@ -356,6 +347,10 @@ class TestFitSingleLambda:
         assert result.diagnostics[0].n_prox_capped > 0
         assert result.diagnostics[0].kkt_max <= cfg.tol_kkt
         assert check_kkt(result.fits[0], data).max_violation <= cfg.tol_kkt
+        save_model(tmp_path / "m.json", result)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["diagnostics"][0]["n_prox_capped"] == \
+            result.diagnostics[0].n_prox_capped
         _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
         assert diag.n_prox_capped == result.diagnostics[0].n_prox_capped
         _, diag = fit_single_lambda(toy_data(rng), 0.1, cfg,
