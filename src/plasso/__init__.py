@@ -4,7 +4,7 @@ descent over a warm-started penalty path.
 """
 
 from .model import (Dataset, DimensionError, PliableFit, interaction_block,
-                    objective, partial_residual, predict)
+                    objective, predict)
 from .preprocess import (StandardizationError, StandardizationMap,
                          destandardize_fit, standardize)
 from .solver import (ConvergenceError, KktReport, ProxSolveError,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "DimensionError", "PliableFit", "interaction_block",
-    "objective", "partial_residual", "predict",
+    "objective", "predict",
     "StandardizationError", "StandardizationMap", "destandardize_fit",
     "standardize",
     "ConvergenceError", "KktReport", "ProxSolveError", "SolverConfig",

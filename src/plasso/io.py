@@ -225,6 +225,27 @@ def _fit_from_dict(d: dict, p: int, k: int, lam: float, alpha: float,
                       beta, rows, lam, alpha)
 
 
+_DIAGNOSTIC_COUNTS = ("n_passes", "n_active_groups", "n_active_theta_rows",
+                      "n_prox_capped")
+
+
+def _diagnostics_from_list(diags: list, n: int, where: str) -> tuple:
+    """The per-level diagnostics: ``n`` dicts of nonnegative integer counts
+    and a finite ``kkt_max`` >= 0."""
+    if len(diags) != n:
+        raise DataFormatError(
+            f"{where}: 'diagnostics' has {len(diags)} entries, 'lambdas' {n}")
+    for i, d in enumerate(diags):
+        at = f"{where}: diagnostics[{i}]"
+        for key in _DIAGNOSTIC_COUNTS:
+            if not _int_in(_need(d, key, at), 0):
+                raise DataFormatError(f"{at}: {key!r} is not an integer >= 0")
+        kkt = _need(d, "kkt_max", at)
+        if not (_number(kkt) and kkt >= 0):
+            raise DataFormatError(f"{at}: 'kkt_max' is not a finite number >= 0")
+    return tuple(diags)
+
+
 def _smap_to_dict(smap: StandardizationMap) -> dict:
     return {
         "x_means": smap.x_means.tolist(), "x_scales": smap.x_scales.tolist(),
@@ -327,8 +348,9 @@ def load_model(path) -> LoadedModel:
 
     Raises ``DataFormatError`` naming the offending key or entry when the
     file is not a model of the supported schema: a missing key, an index
-    outside the model's dimensions, a non-finite coefficient, or fits and
-    lambdas of different lengths.
+    outside the model's dimensions, a non-finite coefficient, fits or
+    diagnostics and lambdas of different lengths, or a malformed
+    diagnostics entry.
     """
     with open(path) as fh:
         try:
@@ -373,6 +395,7 @@ def load_model(path) -> LoadedModel:
         alpha=alpha, lambdas=lambdas, fits=fits,
         smap=_smap_from_dict(_need(doc, "standardization", where, dict),
                              f"{where}: standardization"),
-        diagnostics=tuple(_need(doc, "diagnostics", where, list)),
+        diagnostics=_diagnostics_from_list(
+            _need(doc, "diagnostics", where, list), len(fits), where),
         x_columns=doc.get("x_columns"), z_columns=doc.get("z_columns"),
         cv=cv, invocation=doc.get("invocation"))

@@ -27,7 +27,6 @@ __all__ = [
     "interaction_block",
     "predict",
     "objective",
-    "partial_residual",
 ]
 
 
@@ -157,7 +156,7 @@ class PliableFit:
     def from_dense(cls, beta0, theta0, beta, theta, lam=0.0, alpha=0.0) -> "PliableFit":
         """Build a fit from a dense (p, K) theta matrix, dropping zero rows."""
         theta = np.asarray(theta, dtype=float)
-        rows = {j: theta[j] for j in range(theta.shape[0]) if np.any(theta[j] != 0.0)}
+        rows = {j: theta[j] for j in np.flatnonzero(theta.any(axis=1))}
         return cls(beta0, theta0, beta, rows, lam, alpha)
 
     @property
@@ -176,10 +175,6 @@ class PliableFit:
             out[j] = row
         return out
 
-    def theta_row(self, j: int) -> np.ndarray:
-        row = self.theta_rows.get(j)
-        return row.copy() if row is not None else np.zeros(self.n_modifiers)
-
     @property
     def active_groups(self) -> tuple:
         """Indices with a nonzero main effect or a stored modifier row."""
@@ -197,9 +192,6 @@ class PliableFit:
         for row in self.theta_rows.values():
             n += int(np.count_nonzero(row))
         return n
-
-    def satisfies_hierarchy(self) -> bool:
-        return all(self.beta[j] != 0.0 for j in self.theta_rows)
 
 
 def interaction_block(X, Z, j: int) -> np.ndarray:
@@ -256,16 +248,13 @@ class PenaltyValue:
     total: float
 
 
-def _penalty_sums(beta, theta_rows) -> tuple:
+def _penalty_sums(beta, theta) -> tuple:
     """(group, l1) = (sum_j ||(beta_j, theta_j)||_2 + ||theta_j||_2,
-    sum_{j,k} |theta_jk|) for main effects ``beta`` and the nonzero modifier
-    rows ``theta_rows`` (index -> row)."""
-    row_norm = np.zeros(beta.shape[0])
-    l1 = 0.0
-    for j, row in theta_rows.items():
-        row_norm[j] = np.linalg.norm(row)
-        l1 += float(np.abs(row).sum())
-    return float((np.hypot(beta, row_norm) + row_norm).sum()), l1
+    sum_{j,k} |theta_jk|) for main effects ``beta`` (p,) and the dense
+    modifier matrix ``theta`` (p, K)."""
+    row_norm = np.sqrt(np.square(theta).sum(axis=1))
+    return (float((np.hypot(beta, row_norm) + row_norm).sum()),
+            float(np.abs(theta).sum()))
 
 
 def objective(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> PenaltyValue:
@@ -286,21 +275,10 @@ def objective(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> PenaltyVa
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     resid = data.y - predict(fit, data.X, data.Z)
     loss = float(resid @ resid) / (2.0 * data.n_samples)
-    group, l1 = _penalty_sums(fit.beta, fit.theta_rows)
+    group, l1 = _penalty_sums(fit.beta, fit.theta)
     for name, value in (("loss", loss), ("group", group), ("l1", l1)):
         if not np.isfinite(value):
             raise ValueError(f"objective {name} term is not finite")
     total = loss + (1.0 - alpha) * lam * group + alpha * lam * l1
     return PenaltyValue(loss=loss, group_term=group, l1_term=l1, total=total)
 
-
-def partial_residual(data: Dataset, fit: PliableFit, j: int) -> np.ndarray:
-    """Residual with group j's contribution added back: r + X_j beta_j + W_j theta_j."""
-    if not 0 <= j < data.n_predictors:
-        raise IndexError(f"group index {j} out of range for p={data.n_predictors}")
-    r = data.y - predict(fit, data.X, data.Z)
-    r = r + data.X[:, j] * fit.beta[j]
-    row = fit.theta_rows.get(j)
-    if row is not None:
-        r = r + data.X[:, j] * (data.Z @ row)
-    return r

@@ -96,16 +96,6 @@ class StandardizationMap:
             out.append(np.asarray(y, dtype=float) - self.y_mean)
         return out[0] if len(out) == 1 else tuple(out)
 
-    def inverse_transform(self, X=None, Z=None, y=None):
-        out = []
-        if X is not None:
-            out.append(np.asarray(X, dtype=float) * self.x_scales + self.x_means)
-        if Z is not None:
-            out.append(np.asarray(Z, dtype=float) * self.z_scales + self.z_means)
-        if y is not None:
-            out.append(np.asarray(y, dtype=float) + self.y_mean)
-        return out[0] if len(out) == 1 else tuple(out)
-
 
 def standardize(data: Dataset, standardize_x: bool = True,
                 standardize_z: bool = True, center_y: bool = True):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, PliableFit, _penalty_sums, interaction_block,
-                    predict)
+from .model import Dataset, PliableFit, _penalty_sums, interaction_block, predict
 
 __all__ = [
     "SolverConfig",
@@ -229,9 +228,6 @@ class Workspace:
             self._block[j] = got
         return got
 
-    def w(self, j: int) -> np.ndarray:
-        return self.block(j)[0][:, 1:]
-
     def solve_intercepts(self, target):
         return self._a_pinv @ target
 
@@ -306,30 +302,37 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
 # KKT / subgradient residuals
 
 
-def _kkt_arrays(data: Dataset, r, beta, theta_map, lam, alpha) -> KktReport:
+def _kkt_arrays(data: Dataset, r, beta, theta, lam, alpha) -> KktReport:
+    """KKT report at residual r of the dense coefficients beta (p,) and
+    theta (p, K).  Zero blocks take their zero-certificate slack; each
+    active block j takes the larger of
+
+        |rho b / gn - a|                                   (beta_j)
+        max(||S(q, mu)||_2 - rho, 0)            if theta_j = 0, else
+        max_k |rho th_k (1/gn + 1/tn) - q_k + mu sign(th_k)|   (th_k != 0)
+              max(|q_k| - mu, 0)                               (th_k == 0)
+
+    with (a, q) the pulls of group j, tn = ||theta_j||_2 and
+    gn = ||(beta_j, theta_j)||_2."""
     n, p = data.n_samples, data.n_predictors
     rho = (1.0 - alpha) * lam
     mu = alpha * lam
     a_all, q_all = _pulls(data.X, data.Z, r)
     per = np.maximum(_zero_slack(a_all, q_all, rho, mu), 0.0)
-    for j in range(p):
-        b = beta[j]
-        row = theta_map.get(j)
-        if b == 0.0 and row is None:
-            continue
-        tn = float(np.linalg.norm(row)) if row is not None else 0.0
-        gn = float(np.hypot(b, tn))
-        res_b = abs(rho * b / gn - a_all[j])
-        if row is None or tn == 0.0:
-            sq = np.maximum(np.abs(q_all[j]) - mu, 0.0)
-            res_t = max(0.0, math.sqrt(sq @ sq) - rho)
-        else:
-            inner = rho * row * (1.0 / gn + 1.0 / tn) - q_all[j]
-            nz = row != 0.0
-            res_vec = np.where(nz, np.abs(inner + mu * np.sign(row)),
-                               np.maximum(np.abs(q_all[j]) - mu, 0.0))
-            res_t = float(res_vec.max()) if res_vec.size else 0.0
-        per[j] = max(res_b, res_t)
+    act = np.flatnonzero((beta != 0.0) | theta.any(axis=1))
+    b, th, q = beta[act], theta[act], q_all[act]
+    tn = np.sqrt(np.square(th).sum(axis=1))
+    gn = np.hypot(b, tn)
+    res_b = np.abs(rho * b / gn - a_all[act])
+    excess = np.maximum(np.abs(q) - mu, 0.0)
+    no_row = tn == 0.0
+    # rows of theta that are zero take the beta-only theta residual
+    scale = 1.0 / gn + 1.0 / np.where(no_row, 1.0, tn)
+    res_th = np.where(th != 0.0,
+                      np.abs(rho * th * scale[:, None] - q + mu * np.sign(th)),
+                      excess).max(axis=1, initial=0.0)
+    res_zero = np.maximum(np.sqrt(np.square(excess).sum(axis=1)) - rho, 0.0)
+    per[act] = np.maximum(res_b, np.where(no_row, res_zero, res_th))
     intercept = abs(float(r.mean()))
     if data.n_modifiers:
         intercept = max(intercept, float(np.abs(data.Z.T @ r).max()) / n)
@@ -344,7 +347,7 @@ def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport
     lam = fit.lam if lam is None else float(lam)
     alpha = fit.alpha if alpha is None else float(alpha)
     r = data.y - predict(fit, data.X, data.Z)
-    return _kkt_arrays(data, r, fit.beta, dict(fit.theta_rows), lam, alpha)
+    return _kkt_arrays(data, r, fit.beta, fit.theta, lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +367,16 @@ class _Fitter:
             if warm.n_predictors != p or warm.n_modifiers != k:
                 raise ValueError("warm start has wrong dimensions")
             self.beta = warm.beta.copy()
-            self.theta = {j: row.copy() for j, row in warm.theta_rows.items()}
+            self.theta = warm.theta
             self.beta0 = warm.beta0
             self.theta0 = warm.theta0.copy()
         else:
             self.beta = np.zeros(p)
-            self.theta = {}
+            self.theta = np.zeros((p, k))
             self.beta0 = 0.0
             self.theta0 = np.zeros(k)
+        # groups whose theta row is nonzero; every write to theta updates it
+        self.rows = self.theta.any(axis=1)
         self.r = (data.y - predict(warm, data.X, data.Z) if warm is not None
                   else data.y.copy())
         self.n_passes = 0
@@ -394,27 +399,26 @@ class _Fitter:
             self.r -= self.data.Z @ self.theta0
 
     def _active(self):
-        return set(np.nonzero(self.beta)[0].tolist()) | set(self.theta)
+        return (self.beta != 0.0) | self.rows
 
     def _full_visit(self):
-        active = self._active()
         if not self.cfg.screen:
             return range(self.data.n_predictors)
         a, q = _pulls(self.data.X, self.data.Z, self.r)
         fail = _zero_slack(a, q, self.rho, self.mu) > 0.0
-        return sorted(active | set(np.nonzero(fail)[0].tolist()))
+        return np.flatnonzero(self._active() | fail).tolist()
 
     def _update_group(self, j):
         data = self.data
         n = data.n_samples
         x_j = data.X[:, j]
         b_old = self.beta[j]
-        row_old = self.theta.get(j)
-        was_active = b_old != 0.0 or row_old is not None
+        had_row = self.rows[j]
+        was_active = b_old != 0.0 or had_row
         if was_active:
             r_mj = self.r + x_j * b_old
-            if row_old is not None:
-                r_mj += self.ws.w(j) @ row_old
+            if had_row:
+                r_mj += self.ws.block(j)[0][:, 1:] @ self.theta[j]
         else:
             r_mj = self.r
         if self.cfg.screen:
@@ -428,29 +432,25 @@ class _Fitter:
             resid_b = r_mj - x_j * bhat
             sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
             if math.sqrt(sq @ sq) <= self.rho:
-                changed = ((bhat != 0.0) != (b_old != 0.0)) or row_old is not None
+                changed = ((bhat != 0.0) != (b_old != 0.0)) or had_row
                 self.beta[j] = bhat
-                self.theta.pop(j, None)
+                self.theta[j] = 0.0
+                self.rows[j] = False
                 self.r = resid_b
                 return changed
         d, gram, t = self.ws.block(j)
-        g0 = np.zeros(data.n_modifiers + 1)
-        g0[0] = b_old
-        if row_old is not None:
-            g0[1:] = row_old
+        g0 = np.concatenate(([b_old], self.theta[j]))
         g, stopped = _block_minimize(gram, d.T @ r_mj / n,
                                      0.5 * float(r_mj @ r_mj) / n,
                                      g0, self.rho, self.mu, t, self.cfg)
         self.n_prox_capped += not stopped
         b_new = g[0]
         row_new = g[1:]
-        has_row = bool(np.any(row_new != 0.0))
-        changed = ((b_new != 0.0) != (b_old != 0.0)) or (has_row != (row_old is not None))
+        has_row = bool(row_new.any())
+        changed = ((b_new != 0.0) != (b_old != 0.0)) or has_row != had_row
         self.beta[j] = b_new
-        if has_row:
-            self.theta[j] = row_new
-        else:
-            self.theta.pop(j, None)
+        self.theta[j] = row_new if has_row else 0.0
+        self.rows[j] = has_row
         self.r = r_mj - d @ g
         return changed
 
@@ -459,8 +459,8 @@ class _Fitter:
                            self.lam, self.cfg.alpha)
 
     def _build_fit(self):
-        return PliableFit(self.beta0, self.theta0, self.beta, self.theta,
-                          self.lam, self.cfg.alpha)
+        return PliableFit.from_dense(self.beta0, self.theta0, self.beta,
+                                     self.theta, self.lam, self.cfg.alpha)
 
     def run(self):
         cfg = self.cfg
@@ -470,7 +470,8 @@ class _Fitter:
         while self.n_passes < cfg.max_outer_iters:
             self.n_passes += 1
             self._refresh_intercepts()
-            visit = self._full_visit() if full_pass else sorted(self._active())
+            visit = (self._full_visit() if full_pass
+                     else np.flatnonzero(self._active()).tolist())
             for j in visit:
                 self._update_group(j)
             j_now = self._objective()
@@ -486,14 +487,18 @@ class _Fitter:
                         return self._build_fit(), FitDiagnostics(
                             self.n_passes, report, tuple(obj_trace),
                             self.n_prox_capped)
-                full_pass = not self._active()
+                full_pass = not self._active().any()
             elif rel < cfg.tol_obj:
                 full_pass = True
             j_prev = j_now
+        report = self._kkt()
         raise ConvergenceError(
             f"no convergence in {cfg.max_outer_iters} passes "
-            f"(lam={self.lam:.6g}, alpha={cfg.alpha})",
-            fit=self._build_fit(), kkt=self._kkt())
+            f"(lam={self.lam:.6g}, alpha={cfg.alpha}, "
+            f"kkt_max={report.max_violation:.3g}, "
+            f"worst_group={report.worst_group}, "
+            f"n_prox_capped={self.n_prox_capped})",
+            fit=self._build_fit(), kkt=report)
 
 
 def fit_single_lambda(data: Dataset, lam: float, config: SolverConfig | None = None,
@@ -516,7 +521,7 @@ def fit_single_lambda(data: Dataset, lam: float, config: SolverConfig | None = N
         raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     cfg = config if config is not None else SolverConfig()
     ws = workspace if workspace is not None else Workspace(data)
-    if ws.data.X.shape != data.X.shape:
+    if ws.data is not data:
         raise ValueError("workspace was built for a different dataset")
     fit, diag = _Fitter(data, lam, cfg, warm, ws).run()
     return (fit, diag) if return_diagnostics else fit

@@ -158,11 +158,11 @@ def norm_equation_residuals(a, b, g1, g2, c):
     return abs(r1), abs(r2)
 
 
-def objective_loops(beta0, theta0, beta, theta, y, X, Z, lam, alpha):
-    """Model objective computed with explicit loops over rows and groups."""
+def residual_loops(beta0, theta0, beta, theta, y, X, Z):
+    """y - yhat, one row at a time with explicit loops over the groups."""
     n, p = X.shape
     k = Z.shape[1] if Z is not None else 0
-    loss = 0.0
+    r = []
     for i in range(n):
         yhat = beta0
         for m in range(k):
@@ -171,7 +171,17 @@ def objective_loops(beta0, theta0, beta, theta, y, X, Z, lam, alpha):
             yhat += X[i, j] * beta[j]
             for m in range(k):
                 yhat += X[i, j] * Z[i, m] * theta[j, m]
-        loss += (y[i] - yhat) ** 2
+        r.append(y[i] - yhat)
+    return r
+
+
+def objective_loops(beta0, theta0, beta, theta, y, X, Z, lam, alpha):
+    """Model objective computed with explicit loops over rows and groups."""
+    n, p = X.shape
+    k = Z.shape[1] if Z is not None else 0
+    loss = 0.0
+    for e in residual_loops(beta0, theta0, beta, theta, y, X, Z):
+        loss += e ** 2
     loss /= 2.0 * n
     group = 0.0
     l1 = 0.0
@@ -183,3 +193,59 @@ def objective_loops(beta0, theta0, beta, theta, y, X, Z, lam, alpha):
         tn = np.sqrt(tn)
         group += np.sqrt(beta[j] ** 2 + tn ** 2) + tn
     return loss + (1.0 - alpha) * lam * group + alpha * lam * l1
+
+
+def satisfies_hierarchy(fit):
+    """True when every stored modifier row has a nonzero main effect."""
+    return all(fit.beta[j] != 0.0 for j in fit.theta_rows)
+
+
+def kkt_per_group_oracle(y, X, Z, beta0, theta0, beta, theta, lam, alpha):
+    """Per-group subgradient residuals, one group at a time with plain loops.
+
+    With residual r, pulls a = x_j'r/N and q = (x_j o Z)'r/N, rho =
+    (1-alpha) lam, mu = alpha lam, tn = ||theta_j|| and gn =
+    ||(beta_j, theta_j)||:
+
+    - a zero block takes the zero-certificate slack
+      max(|a| - rho, ||S(q, mu)|| - rho - sqrt(max(rho^2 - a^2, 0)), 0);
+    - otherwise the larger of |rho beta_j / gn - a| and the theta residual:
+      max(||S(q, mu)|| - rho, 0) when theta_j = 0, else the largest of
+      |rho theta_jk (1/gn + 1/tn) - q_k + mu sign(theta_jk)| over nonzero
+      entries and max(|q_k| - mu, 0) over zero entries.
+    """
+    n, p = X.shape
+    k = Z.shape[1]
+    r = residual_loops(beta0, theta0, beta, theta, y, X, Z)
+    rho = (1.0 - alpha) * lam
+    mu = alpha * lam
+    out = []
+    for j in range(p):
+        a = 0.0
+        q = [0.0] * k
+        for i in range(n):
+            a += X[i, j] * r[i] / n
+            for m in range(k):
+                q[m] += X[i, j] * Z[i, m] * r[i] / n
+        excess = [max(abs(v) - mu, 0.0) for v in q]
+        s_norm = np.sqrt(sum(e * e for e in excess))
+        tn = np.sqrt(sum(theta[j, m] ** 2 for m in range(k)))
+        b = beta[j]
+        if b == 0.0 and not any(theta[j, m] != 0.0 for m in range(k)):
+            budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
+            out.append(max(abs(a) - rho, s_norm - budget, 0.0))
+            continue
+        gn = np.sqrt(b * b + tn * tn)
+        res = abs(rho * b / gn - a)
+        if tn == 0.0:
+            res = max(res, s_norm - rho, 0.0)
+        else:
+            for m in range(k):
+                t = theta[j, m]
+                if t != 0.0:
+                    res = max(res, abs(rho * t * (1.0 / gn + 1.0 / tn) - q[m]
+                                       + mu * np.sign(t)))
+                else:
+                    res = max(res, excess[m])
+        out.append(res)
+    return np.array(out)

@@ -284,12 +284,21 @@ class TestExitCodes:
         model = tmp_path / "m.json"
         main(["fit", "--data", str(data), "--z-cols", "w",
               "--model", str(model), "--nlambda", "4"])
-        doc = json.loads(model.read_text())
-        del doc["alpha"]
-        model.write_text(json.dumps(doc))
-        rc = main(["predict", "--model", str(model), "--data", str(data)])
-        assert rc == 2
-        assert "missing key 'alpha'" in capsys.readouterr().err
+        saved = model.read_text()
+        for mutate, message in (
+                (lambda d: d.pop("alpha"), "missing key 'alpha'"),
+                (lambda d: d.update(diagnostics=["junk"]),
+                 "'diagnostics' has 1 entries, 'lambdas' 4"),
+                (lambda d: d["diagnostics"][1].pop("n_prox_capped"),
+                 "diagnostics[1]: missing key 'n_prox_capped'"),
+                (lambda d: d["diagnostics"][2].update(kkt_max=-1e-9),
+                 "diagnostics[2]: 'kkt_max' is not a finite number >= 0")):
+            doc = json.loads(saved)
+            mutate(doc)
+            model.write_text(json.dumps(doc))
+            rc = main(["predict", "--model", str(model), "--data", str(data)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_data_errors_are_2(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.tsv"),

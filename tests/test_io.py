@@ -223,6 +223,22 @@ def _drop_last_fit(doc):
     doc["fits"].pop()
 
 
+def _junk_diagnostics(doc):
+    doc["diagnostics"] = ["junk"]
+
+
+def _drop_last_diagnostic(doc):
+    doc["diagnostics"].pop()
+
+
+def _drop_prox_capped(doc):
+    del doc["diagnostics"][3]["n_prox_capped"]
+
+
+def _negative_passes(doc):
+    doc["diagnostics"][2]["n_passes"] = -1
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("mutate, message", [
         (_drop_alpha, r"missing key 'alpha'"),
@@ -230,8 +246,16 @@ class TestMalformedModelFile:
         (_set_beta_index(4), r"fits\[7\]: 'beta' entry .* index 4 outside \[0, 4\)"),
         (_set_theta_modifier(2), r"fits\[7\]: 'theta' entry .* index 2 outside \[0, 2\)"),
         (_drop_last_fit, r"'fits' has 7 entries, 'lambdas' 8"),
+        (_junk_diagnostics, r"'diagnostics' has 1 entries, 'lambdas' 8"),
+        (_drop_last_diagnostic, r"'diagnostics' has 7 entries, 'lambdas' 8"),
+        (_drop_prox_capped,
+         r"diagnostics\[3\]: missing key 'n_prox_capped'"),
+        (_negative_passes,
+         r"diagnostics\[2\]: 'n_passes' is not an integer >= 0"),
     ], ids=["missing_key", "negative_beta_index", "beta_index_ge_p",
-            "theta_index_ge_k", "fits_lambdas_mismatch"])
+            "theta_index_ge_k", "fits_lambdas_mismatch", "junk_diagnostics",
+            "short_diagnostics", "diagnostics_missing_key",
+            "negative_diagnostics_count"])
     def test_rejected_with_offending_entry(self, tmp_path, mutate, message):
         _, path, _ = small_path()
         f = tmp_path / "model.json"

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from plasso.model import (Dataset, DimensionError, PliableFit, objective,
-                          partial_residual, predict)
+from plasso.model import Dataset, DimensionError, PliableFit, objective, predict
 
-from oracles import objective_loops
+from oracles import objective_loops, satisfies_hierarchy
 
 
 def random_fit(rng, p, k, density=0.5):
@@ -56,11 +55,11 @@ class TestPliableFit:
         assert fit.n_nonzero_coefficients == 3
         assert fit.active_groups == (0, 2)
         assert sorted(fit.theta_rows) == [0]
-        assert fit.satisfies_hierarchy()
+        assert satisfies_hierarchy(fit)
 
     def test_hierarchy_violation_detected(self):
         fit = PliableFit(0.0, np.zeros(1), np.zeros(2), {1: np.array([1.0])})
-        assert not fit.satisfies_hierarchy()
+        assert not satisfies_hierarchy(fit)
 
     def test_from_dense_round_trip(self):
         theta = np.array([[0.0, 0.0], [1.0, -2.0]])
@@ -115,6 +114,26 @@ class TestPredict:
             lhs = predict(combo, X, Z)
             rhs = a * predict(f1, X, Z) + b * predict(f2, X, Z)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_group_contribution_is_additive(self):
+        # dropping group j from a fit moves the prediction by exactly
+        # X_j beta_j + (X_j o Z) theta_j, the partial residual the solver
+        # adds back before each block update
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((12, 4))
+        Z = rng.standard_normal((12, 2))
+        for trial in range(10):
+            fit = random_fit(rng, 4, 2)
+            full = predict(fit, X, Z)
+            for j in range(4):
+                beta, theta = fit.beta.copy(), fit.theta
+                beta[j] = 0.0
+                theta[j] = 0.0
+                without = predict(PliableFit.from_dense(
+                    fit.beta0, fit.theta0, beta, theta), X, Z)
+                contrib = X[:, j] * fit.beta[j] + X[:, j] * (Z @ fit.theta[j])
+                np.testing.assert_allclose(without, full - contrib,
+                                           rtol=0, atol=1e-12)
 
 
 class TestObjective:
@@ -172,32 +191,3 @@ class TestObjective:
             j1 = objective(f1, d, lam=0.5, alpha=0.3).total
             j2 = objective(f2, d, lam=0.5, alpha=0.3).total
             assert j_mid <= t * j1 + (1 - t) * j2 + 1e-10
-
-
-class TestPartialResidual:
-    def test_zero_fit_gives_y(self):
-        rng = np.random.default_rng(2)
-        d = Dataset(rng.standard_normal(6), rng.standard_normal((6, 3)),
-                    rng.standard_normal((6, 2)))
-        np.testing.assert_array_equal(
-            partial_residual(d, PliableFit.zeros(3, 2), 1), d.y)
-
-    def test_complementarity_identity(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((12, 4))
-        Z = rng.standard_normal((12, 2))
-        y = rng.standard_normal(12)
-        d = Dataset(y, X, Z)
-        for trial in range(10):
-            fit = random_fit(rng, 4, 2)
-            full = y - predict(fit, X, Z)
-            for j in range(4):
-                contrib = X[:, j] * fit.beta[j]
-                contrib = contrib + (X[:, j] * (Z @ fit.theta_row(j)))
-                np.testing.assert_allclose(partial_residual(d, fit, j),
-                                           full + contrib, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        d = Dataset(np.zeros(3), np.ones((3, 2)), None)
-        with pytest.raises(IndexError):
-            partial_residual(d, PliableFit.zeros(2, 0), 2)

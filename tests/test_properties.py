@@ -20,7 +20,8 @@ from plasso.simulate import SPEC_NAMES, SimSpec, generate
 from plasso.solver import (SolverConfig, Workspace, _block_minimize,
                            check_kkt, fit_single_lambda, prox_group)
 
-from oracles import zero_threshold_oracle
+from oracles import (kkt_per_group_oracle, satisfies_hierarchy,
+                     zero_threshold_oracle)
 
 _TIGHT = dict(tol_kkt=1e-8, tol_obj=1e-12)
 
@@ -62,7 +63,7 @@ def run_hierarchy_suite(n_cases=100):
     for case in range(n_cases):
         _, data, lam, alpha = _random_case(case)
         fit = fit_single_lambda(data, lam, SolverConfig(alpha=alpha))
-        if not fit.satisfies_hierarchy():
+        if not satisfies_hierarchy(fit):
             bad.append(f"case {case}: theta row without main effect")
     return bad
 
@@ -207,3 +208,36 @@ def test_lambda_max_is_the_zero_certificate_threshold(seed, extra, p, k, alpha,
     if lmax > 0.0:
         below = check_kkt(fit, std, lam=lmax * (1.0 - 1e-6))
         assert below.per_group.max() > 0.0
+
+
+# how a random fit sets each group: all zero, beta only, theta only, both,
+# or both with at least one zero entry in the theta row
+_GROUP_KINDS = ("zero", "beta", "theta", "both", "sparse")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+       k=st.integers(0, 4), lam=st.floats(0.0, 2.0),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       kinds=st.lists(st.sampled_from(_GROUP_KINDS), min_size=1, max_size=6))
+def test_kkt_report_matches_loop_oracle(seed, n, k, lam, alpha, kinds):
+    rng = np.random.default_rng(seed)
+    p = len(kinds)
+    X = rng.standard_normal((n, p))
+    Z = rng.standard_normal((n, k))
+    y = 2.0 * rng.standard_normal(n)
+    beta = np.zeros(p)
+    theta = np.zeros((p, k))
+    for j, kind in enumerate(kinds):
+        if kind in ("beta", "both", "sparse"):
+            beta[j] = rng.standard_normal()
+        if kind in ("theta", "both", "sparse"):
+            theta[j] = rng.standard_normal(k)
+        if kind == "sparse" and k:
+            theta[j, rng.integers(k)] = 0.0
+    fit = PliableFit.from_dense(rng.standard_normal(), rng.standard_normal(k),
+                                beta, theta)
+    got = check_kkt(fit, Dataset(y, X, Z), lam, alpha).per_group
+    want = kkt_per_group_oracle(y, X, Z, fit.beta0, fit.theta0, beta, theta,
+                                lam, alpha)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

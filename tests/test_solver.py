@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
                            soft_threshold, solve_norm_system)
 
 from oracles import (lasso_cd, norm_equation_residuals, prox_objective,
-                     prox_oracle)
+                     prox_oracle, satisfies_hierarchy)
 
 
 def toy_data(rng, n=60, p=5, k=3, snr=3.0):
@@ -24,6 +25,18 @@ def toy_data(rng, n=60, p=5, k=3, snr=3.0):
         mu = mu + X[:, 2] * Z[:, 1]
     y = mu + rng.standard_normal(n) * mu.std() / snr
     return Dataset(y - y.mean(), X, Z)
+
+
+def collinear_z_data(rng, n=12):
+    """Z's two columns are collinear, so each block Gram matrix
+    [x, x o Z]'[x, x o Z] is singular."""
+    X = rng.standard_normal((n, 2))
+    z = rng.standard_normal(n)
+    return Dataset(rng.standard_normal(n), X, np.column_stack([z, 2.0 * z]))
+
+
+# the raw-scale settings the collinear-Z cases are fitted with
+RAW = dict(standardize_x=False, standardize_z=False, center_y=False)
 
 
 class TestSoftThreshold:
@@ -179,7 +192,7 @@ class TestSingleBlockOps:
         r = data.y - predict(fit, data.X, data.Z)
         d = np.column_stack([data.X[:, 0],
                              interaction_block(data.X, data.Z, 0)])
-        g = np.concatenate([[fit.beta[0]], fit.theta_row(0)])
+        g = np.concatenate([[fit.beta[0]], fit.theta[0]])
         z = g + t * (d.T @ r) / data.n_samples
         beta, theta = prox_group(z[0], z[1:], t * (1.0 - cfg.alpha) * lam,
                                  t * cfg.alpha * lam)
@@ -330,18 +343,38 @@ class TestFitSingleLambda:
         err = info.value
         assert isinstance(err.fit, PliableFit)
         assert err.kkt.max_violation > 0.0
+        # the message alone names the worst group and the capped solves
+        msg = str(err)
+        assert err.kkt.worst_group != 0
+        assert f"kkt_max={err.kkt.max_violation:.3g}," in msg
+        assert f"worst_group={err.kkt.worst_group}," in msg
+        assert "n_prox_capped=0)" in msg
+        # fit_path puts the grid index in front of the same message
+        with pytest.raises(ConvergenceError) as info:
+            fit_path(data, cfg, lambdas=[0.02, 0.01])
+        assert str(info.value).startswith("lambda[0]=0.02: no convergence")
+        assert f"worst_group={info.value.kkt.worst_group}," in str(info.value)
+        # collinear Z: joint solves are cut at max_prox_iters before the
+        # fit converges, and the message counts them
+        data = collinear_z_data(np.random.default_rng(32))
+        cfg = SolverConfig(alpha=0.5, **RAW)
+        lam = 1e-3 * lambda_max(data, cfg.alpha)
+        _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
+        short = SolverConfig(alpha=0.5, max_outer_iters=diag.n_passes // 2,
+                             **RAW)
+        with pytest.raises(ConvergenceError) as info:
+            fit_single_lambda(data, lam, short)
+        capped = int(re.search(r"n_prox_capped=(\d+)\)",
+                               str(info.value)).group(1))
+        assert 0 < capped <= diag.n_prox_capped
 
     def test_capped_joint_solves_are_counted(self, tmp_path):
         # Z's columns are collinear, so the block Gram matrix [x, x o Z] is
         # singular and at a small penalty some joint solves reach
         # max_prox_iters; the outer passes still certify the fit
         rng = np.random.default_rng(32)
-        n = 12
-        X = rng.standard_normal((n, 2))
-        z = rng.standard_normal(n)
-        data = Dataset(rng.standard_normal(n), X, np.column_stack([z, 2.0 * z]))
-        cfg = SolverConfig(alpha=0.5, standardize_x=False, standardize_z=False,
-                           center_y=False)
+        data = collinear_z_data(rng)
+        cfg = SolverConfig(alpha=0.5, **RAW)
         lam = 1e-3 * lambda_max(data, cfg.alpha)
         result = fit_path(data, cfg, lambdas=[lam])
         assert result.diagnostics[0].n_prox_capped > 0
@@ -367,10 +400,21 @@ class TestFitSingleLambda:
         other = toy_data(rng, n=30)
         with pytest.raises(ValueError, match="workspace"):
             fit_single_lambda(other, 0.1, workspace=ws)
+        # same shape, different data: the Gram caches of ws do not apply
+        rng = np.random.default_rng(0)
+        a = toy_data(rng, n=40, p=5, k=3)
+        b = toy_data(rng, n=40, p=5, k=3)
+        with pytest.raises(ValueError, match="workspace"):
+            fit_single_lambda(b, 0.05, workspace=Workspace(a))
+        # an equal copy is another dataset too: the workspace is tied to
+        # the object it was built on, as fit_path passes it
+        with pytest.raises(ValueError, match="workspace"):
+            fit_single_lambda(Dataset(a.y, a.X, a.Z), 0.05,
+                              workspace=Workspace(a))
 
     def test_hierarchy_always_holds(self):
         rng = np.random.default_rng(17)
         for lam in (0.02, 0.1, 0.5):
             data = toy_data(rng, n=50)
             fit = fit_single_lambda(data, lam)
-            assert fit.satisfies_hierarchy()
+            assert satisfies_hierarchy(fit)
