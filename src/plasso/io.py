@@ -231,19 +231,23 @@ _DIAGNOSTIC_COUNTS = ("n_passes", "n_active_groups", "n_active_theta_rows",
 
 def _diagnostics_from_list(diags: list, n: int, where: str) -> tuple:
     """The per-level diagnostics: ``n`` dicts of nonnegative integer counts
-    and a finite ``kkt_max`` >= 0."""
+    and a finite ``kkt_max`` >= 0.  Files written before ``n_prox_capped``
+    was recorded carry the same schema version, so a level without that
+    key loads with ``n_prox_capped`` None (unknown)."""
     if len(diags) != n:
         raise DataFormatError(
             f"{where}: 'diagnostics' has {len(diags)} entries, 'lambdas' {n}")
     for i, d in enumerate(diags):
         at = f"{where}: diagnostics[{i}]"
         for key in _DIAGNOSTIC_COUNTS:
+            if key == "n_prox_capped" and isinstance(d, dict) and key not in d:
+                continue
             if not _int_in(_need(d, key, at), 0):
                 raise DataFormatError(f"{at}: {key!r} is not an integer >= 0")
         kkt = _need(d, "kkt_max", at)
         if not (_number(kkt) and kkt >= 0):
             raise DataFormatError(f"{at}: 'kkt_max' is not a finite number >= 0")
-    return tuple(diags)
+    return tuple({**d, "n_prox_capped": d.get("n_prox_capped")} for d in diags)
 
 
 def _smap_to_dict(smap: StandardizationMap) -> dict:

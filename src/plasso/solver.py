@@ -7,7 +7,9 @@ Each predictor j owns a block (beta_j, theta_j) penalized by
 
 A block visit tries, in order: a cheap certificate that the whole block is
 zero, a soft-threshold update for beta_j with theta_j pinned at zero, and a
-proximal gradient loop on the joint block.  Intercepts (beta0, theta0) are
+proximal gradient loop on the joint block.  With a single modifier (K = 1)
+one exact block solve replaces the three moves, so no prox iteration runs
+and ``n_prox_capped`` is always 0.  Intercepts (beta0, theta0) are
 unpenalized and refreshed by least squares on (1, Z) at the start of every
 pass.  Data is assumed standardized (see preprocess); nothing here rescales.
 """
@@ -60,7 +62,10 @@ class SolverConfig:
     ``tol_obj`` bounds the relative objective change over a full pass and
     ``tol_kkt`` the largest subgradient violation; both must hold to declare
     convergence.  ``screen`` toggles the zero-block certificate; the joint
-    block loop always runs momentum with restart.  The standardization flags
+    block loop always runs momentum with restart.  At K = 1 the exact block
+    solve replaces both the per-block certificate and the loop, so only the
+    screening sweep of a full pass reads ``screen`` and ``max_prox_iters`` is
+    unused.  The standardization flags
     are consumed by the path/CV drivers, not by fit_single_lambda.
     """
 
@@ -200,7 +205,8 @@ def prox_group(zeta_beta: float, zeta_theta: np.ndarray, c: float, l1: float):
 
 class Workspace:
     """Per-dataset caches reused across a path: the joint-move blocks of
-    groups that take one, column norms, and the intercept projector."""
+    groups that take one (of every visited group when K = 1), column norms,
+    and the intercept projector."""
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -296,6 +302,115 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
         if done:
             return g, True
     return g, False
+
+
+def _k1_joint(e1, e2, cs, sn, c0, c1, rho):
+    """Stationary point of 0.5 g'G g - c'g + rho ||g||_2 with g != 0, or
+    None when there is none; G = V diag(e1, e2) V' with V's first column
+    (cs, sn).  Stationarity reads (G + I/u) g = c with u = ||g|| / rho, so in
+    the eigenbasis, with w = V'c, g_i = u w_i / (1 + e_i u) and u solves
+
+        phi(u) = ||(w_i / (1 + e_i u))||_2 = rho.
+
+    1/phi is increasing and concave in u, so Newton started at a lower bound
+    of the root climbs to it from below; the bracket [lo, hi] only guards
+    against rounding."""
+    w1 = cs * c0 + sn * c1
+    w2 = cs * c1 - sn * c0
+    if rho == 0.0:
+        # unpenalized: the minimum-norm solution of G g = c
+        y1 = w1 / e1 if e1 > 0.0 else 0.0
+        y2 = w2 / e2 if e2 > 0.0 else 0.0
+    else:
+        wn = math.hypot(w1, w2)
+        if wn <= rho:
+            return None
+        if e2 == 0.0:
+            # phi(u)^2 = w1^2 / (1 + e1 u)^2 + w2^2 has the root in closed form
+            if abs(w2) >= rho or e1 == 0.0:
+                return None
+            u = (abs(w1) / math.sqrt(rho * rho - w2 * w2) - 1.0) / e1
+        else:
+            # phi lies between ||w|| / (1 + e u) and ||G^-1 w|| / (u + 1/e)
+            # at e = e1 and at e = e2, which brackets the root
+            gw = math.hypot(w1 / e1, w2 / e2) / rho
+            lo = max((wn / rho - 1.0) / e1, gw - 1.0 / e2, 0.0)
+            hi = min((wn / rho - 1.0) / e2, gw - 1.0 / e1)
+            u = lo
+            for _ in range(100):
+                q1 = 1.0 / (1.0 + e1 * u)
+                q2 = 1.0 / (1.0 + e2 * u)
+                f1 = w1 * q1
+                f2 = w2 * q2
+                p2 = f1 * f1 + f2 * f2
+                phi = math.sqrt(p2)
+                if phi > rho:
+                    lo = u
+                else:
+                    hi = u
+                # Newton on 1/phi(u) = 1/rho; (1/phi)' = slope / phi^3
+                slope = e1 * f1 * f1 * q1 + e2 * f2 * f2 * q2
+                u_new = u + (1.0 / rho - 1.0 / phi) * p2 * phi / slope
+                if not lo <= u_new <= hi:
+                    u_new = 0.5 * (lo + hi)
+                if abs(u_new - u) <= 1e-14 * u_new:
+                    u = u_new
+                    break
+                u = u_new
+        y1 = u * w1 / (1.0 + e1 * u)
+        y2 = u * w2 / (1.0 + e2 * u)
+    return cs * y1 - sn * y2, sn * y1 + cs * y2
+
+
+def _solve_k1(gram, c, rho, mu):
+    """Exact minimizer (b, t) of the K = 1 block objective
+
+        0.5 g'G g - c'g + rho ||(b, t)||_2 + (rho + mu) |t|,    g = (b, t),
+
+    as plain floats.  The block is convex, so exactly one of three cases is
+    self-consistent: g = 0 (the zero certificate), t = 0 with the scalar
+    soft-threshold b = S(c_0, rho) / G_00 when the theta pull at that b is at
+    most rho + mu, or t != 0 with sign s, where (rho + mu)|t| is linear and
+    the block is a group lasso with c - (rho + mu) s e_2 (Friedman, Hastie
+    and Tibshirani 2010).  The joint case is solved in the eigenbasis of G,
+    which may be singular (x_j o z proportional to x_j).  Should rounding
+    leave no case self-consistent, the candidate with the lowest block
+    objective is returned."""
+    (g00, g01), (_, g11) = gram
+    c0, c1 = c
+    if abs(c0) <= rho and _zero_slack(c0, np.array((c1,)), rho, mu) <= 0.0:
+        return 0.0, 0.0
+    rm = rho + mu
+    # G_00 > 0 here: an all-zero x_j has c = 0, which certifies zero above
+    b = math.copysign(abs(c0) - rho, c0) / g00 if abs(c0) > rho else 0.0
+    pull = c1 - g01 * b
+    if abs(pull) <= rm:
+        return b, 0.0
+    cands = [(0.0, 0.0), (b, 0.0)]
+    s = 1.0 if pull > 0.0 else -1.0
+    half = 0.5 * (g00 - g11)
+    r = math.hypot(half, g01)
+    e1 = 0.5 * (g00 + g11) + r
+    e2 = max(0.5 * (g00 + g11) - r, 0.0)
+    ang = 0.5 * math.atan2(g01, half)
+    cs, sn = math.cos(ang), math.sin(ang)
+    # min over b of the objective is convex in t and falls as t leaves 0 in
+    # the direction of the t pull at the beta-only point, so the minimizer's
+    # t has the sign of that pull; the other sign is a guard against rounding
+    for sign in (s, -s):
+        g = _k1_joint(e1, e2, cs, sn, c0, c1 - rm * sign, rho)
+        if g is None:
+            continue
+        if g[1] * sign > 0.0:
+            return g
+        cands.append(g)
+
+    def total(g):
+        b, t = g
+        return (0.5 * (g00 * b * b + 2.0 * g01 * b * t + g11 * t * t)
+                - c0 * b - c1 * t + rho * math.hypot(b, t) + rm * abs(t))
+
+    return min(cands, key=total)
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +540,54 @@ class _Fitter:
             a = float(x_j @ r_mj) / n
             if not was_active and abs(a) <= self.rho and _zero_slack(
                     a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
-                return False
+                return
             if self.ws.xnorm2[j] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             bhat = soft_threshold(a, self.rho) * n / self.ws.xnorm2[j]
             resid_b = r_mj - x_j * bhat
             sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
             if math.sqrt(sq @ sq) <= self.rho:
-                changed = ((bhat != 0.0) != (b_old != 0.0)) or had_row
                 self.beta[j] = bhat
                 self.theta[j] = 0.0
                 self.rows[j] = False
                 self.r = resid_b
-                return changed
+                return
         d, gram, t = self.ws.block(j)
         g0 = np.concatenate(([b_old], self.theta[j]))
         g, stopped = _block_minimize(gram, d.T @ r_mj / n,
                                      0.5 * float(r_mj @ r_mj) / n,
                                      g0, self.rho, self.mu, t, self.cfg)
         self.n_prox_capped += not stopped
-        b_new = g[0]
         row_new = g[1:]
         has_row = bool(row_new.any())
-        changed = ((b_new != 0.0) != (b_old != 0.0)) or has_row != had_row
-        self.beta[j] = b_new
+        self.beta[j] = g[0]
         self.theta[j] = row_new if has_row else 0.0
         self.rows[j] = has_row
         self.r = r_mj - d @ g
-        return changed
+
+    def _update_k1(self, j):
+        """The K = 1 block update: one exact solve (``_solve_k1``) in place
+        of the three moves, so no prox iteration runs.  The pull of the
+        partial residual is D'r/N + G g_old, so r_{-j} is never formed."""
+        d, gram, _ = self.ws.block(j)
+        b_old, t_old = self.beta.item(j), self.theta.item(j, 0)
+        n = self.data.n_samples
+        c0, c1 = (self.r @ d).tolist()
+        c0 /= n
+        c1 /= n
+        gram = gram.tolist()
+        if b_old or t_old:
+            if self.ws.xnorm2[j] == 0.0:
+                raise ValueError(f"X column {j} is identically zero")
+            (g00, g01), (_, g11) = gram
+            c0 += g00 * b_old + g01 * t_old
+            c1 += g01 * b_old + g11 * t_old
+        b, t = _solve_k1(gram, (c0, c1), self.rho, self.mu)
+        if b != b_old or t != t_old:
+            self.r -= d @ np.array((b - b_old, t - t_old))
+            self.beta[j] = b
+            self.theta[j, 0] = t
+            self.rows[j] = t != 0.0
 
     def _kkt(self):
         return _kkt_arrays(self.data, self.r, self.beta, self.theta,
@@ -467,13 +602,15 @@ class _Fitter:
         j_prev = np.inf
         full_pass = True
         obj_trace = []
+        update = (self._update_k1 if self.data.n_modifiers == 1
+                  else self._update_group)
         while self.n_passes < cfg.max_outer_iters:
             self.n_passes += 1
             self._refresh_intercepts()
             visit = (self._full_visit() if full_pass
                      else np.flatnonzero(self._active()).tolist())
             for j in visit:
-                self._update_group(j)
+                update(j)
             j_now = self._objective()
             obj_trace.append(j_now)
             rel = (j_prev - j_now) / max(1.0, abs(j_now))

@@ -200,20 +200,45 @@ def satisfies_hierarchy(fit):
     return all(fit.beta[j] != 0.0 for j in fit.theta_rows)
 
 
-def kkt_per_group_oracle(y, X, Z, beta0, theta0, beta, theta, lam, alpha):
-    """Per-group subgradient residuals, one group at a time with plain loops.
-
-    With residual r, pulls a = x_j'r/N and q = (x_j o Z)'r/N, rho =
-    (1-alpha) lam, mu = alpha lam, tn = ||theta_j|| and gn =
-    ||(beta_j, theta_j)||:
+def block_residual_oracle(a, q, b, theta_j, rho, mu):
+    """Subgradient residual of one block (b, theta_j) with pulls a (on b)
+    and q (on theta_j), with plain loops:
 
     - a zero block takes the zero-certificate slack
       max(|a| - rho, ||S(q, mu)|| - rho - sqrt(max(rho^2 - a^2, 0)), 0);
-    - otherwise the larger of |rho beta_j / gn - a| and the theta residual:
+    - otherwise the larger of |rho b / gn - a| and the theta residual:
       max(||S(q, mu)|| - rho, 0) when theta_j = 0, else the largest of
-      |rho theta_jk (1/gn + 1/tn) - q_k + mu sign(theta_jk)| over nonzero
-      entries and max(|q_k| - mu, 0) over zero entries.
+      |rho theta_k (1/gn + 1/tn) - q_k + mu sign(theta_k)| over nonzero
+      entries and max(|q_k| - mu, 0) over zero entries,
+
+    where tn = ||theta_j|| and gn = ||(b, theta_j)||.
     """
+    k = len(q)
+    excess = [max(abs(v) - mu, 0.0) for v in q]
+    s_norm = np.sqrt(sum(e * e for e in excess))
+    tn = np.sqrt(sum(theta_j[m] ** 2 for m in range(k)))
+    if b == 0.0 and not any(theta_j[m] != 0.0 for m in range(k)):
+        budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
+        return max(abs(a) - rho, s_norm - budget, 0.0)
+    gn = np.sqrt(b * b + tn * tn)
+    res = abs(rho * b / gn - a)
+    if tn == 0.0:
+        return max(res, s_norm - rho, 0.0)
+    for m in range(k):
+        t = theta_j[m]
+        if t != 0.0:
+            res = max(res, abs(rho * t * (1.0 / gn + 1.0 / tn) - q[m]
+                               + mu * np.sign(t)))
+        else:
+            res = max(res, excess[m])
+    return res
+
+
+def kkt_per_group_oracle(y, X, Z, beta0, theta0, beta, theta, lam, alpha):
+    """Per-group subgradient residuals (``block_residual_oracle``), one
+    group at a time with plain loops, at the pulls a = x_j'r/N and
+    q = (x_j o Z)'r/N of the residual r, with rho = (1-alpha) lam and
+    mu = alpha lam."""
     n, p = X.shape
     k = Z.shape[1]
     r = residual_loops(beta0, theta0, beta, theta, y, X, Z)
@@ -227,25 +252,5 @@ def kkt_per_group_oracle(y, X, Z, beta0, theta0, beta, theta, lam, alpha):
             a += X[i, j] * r[i] / n
             for m in range(k):
                 q[m] += X[i, j] * Z[i, m] * r[i] / n
-        excess = [max(abs(v) - mu, 0.0) for v in q]
-        s_norm = np.sqrt(sum(e * e for e in excess))
-        tn = np.sqrt(sum(theta[j, m] ** 2 for m in range(k)))
-        b = beta[j]
-        if b == 0.0 and not any(theta[j, m] != 0.0 for m in range(k)):
-            budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
-            out.append(max(abs(a) - rho, s_norm - budget, 0.0))
-            continue
-        gn = np.sqrt(b * b + tn * tn)
-        res = abs(rho * b / gn - a)
-        if tn == 0.0:
-            res = max(res, s_norm - rho, 0.0)
-        else:
-            for m in range(k):
-                t = theta[j, m]
-                if t != 0.0:
-                    res = max(res, abs(rho * t * (1.0 / gn + 1.0 / tn) - q[m]
-                                       + mu * np.sign(t)))
-                else:
-                    res = max(res, excess[m])
-        out.append(res)
+        out.append(block_residual_oracle(a, q, beta[j], theta[j], rho, mu))
     return np.array(out)

@@ -289,8 +289,8 @@ class TestExitCodes:
                 (lambda d: d.pop("alpha"), "missing key 'alpha'"),
                 (lambda d: d.update(diagnostics=["junk"]),
                  "'diagnostics' has 1 entries, 'lambdas' 4"),
-                (lambda d: d["diagnostics"][1].pop("n_prox_capped"),
-                 "diagnostics[1]: missing key 'n_prox_capped'"),
+                (lambda d: d["diagnostics"][1].update(n_prox_capped=-1),
+                 "diagnostics[1]: 'n_prox_capped' is not an integer >= 0"),
                 (lambda d: d["diagnostics"][2].update(kkt_max=-1e-9),
                  "diagnostics[2]: 'kkt_max' is not a finite number >= 0")):
             doc = json.loads(saved)
@@ -299,6 +299,14 @@ class TestExitCodes:
             rc = main(["predict", "--model", str(model), "--data", str(data)])
             assert rc == 2
             assert message in capsys.readouterr().err
+        # a file written before n_prox_capped was a per-level key loads
+        doc = json.loads(saved)
+        for d in doc["diagnostics"]:
+            del d["n_prox_capped"]
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--model", str(model), "--data", str(data)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_data_errors_are_2(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "absent.tsv"),

@@ -231,8 +231,10 @@ def _drop_last_diagnostic(doc):
     doc["diagnostics"].pop()
 
 
-def _drop_prox_capped(doc):
-    del doc["diagnostics"][3]["n_prox_capped"]
+def _set_prox_capped(v):
+    def mutate(doc):
+        doc["diagnostics"][3]["n_prox_capped"] = v
+    return mutate
 
 
 def _negative_passes(doc):
@@ -248,13 +250,18 @@ class TestMalformedModelFile:
         (_drop_last_fit, r"'fits' has 7 entries, 'lambdas' 8"),
         (_junk_diagnostics, r"'diagnostics' has 1 entries, 'lambdas' 8"),
         (_drop_last_diagnostic, r"'diagnostics' has 7 entries, 'lambdas' 8"),
-        (_drop_prox_capped,
-         r"diagnostics\[3\]: missing key 'n_prox_capped'"),
+        (_set_prox_capped(-1),
+         r"diagnostics\[3\]: 'n_prox_capped' is not an integer >= 0"),
+        (_set_prox_capped(1.5),
+         r"diagnostics\[3\]: 'n_prox_capped' is not an integer >= 0"),
+        (_set_prox_capped(None),
+         r"diagnostics\[3\]: 'n_prox_capped' is not an integer >= 0"),
         (_negative_passes,
          r"diagnostics\[2\]: 'n_passes' is not an integer >= 0"),
     ], ids=["missing_key", "negative_beta_index", "beta_index_ge_p",
             "theta_index_ge_k", "fits_lambdas_mismatch", "junk_diagnostics",
-            "short_diagnostics", "diagnostics_missing_key",
+            "short_diagnostics", "negative_prox_capped",
+            "fractional_prox_capped", "null_prox_capped",
             "negative_diagnostics_count"])
     def test_rejected_with_offending_entry(self, tmp_path, mutate, message):
         _, path, _ = small_path()
@@ -265,4 +272,28 @@ class TestMalformedModelFile:
         mutate(doc)
         f.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match=message):
+            load_model(f)
+
+    def test_file_without_prox_capped_loads(self, tmp_path):
+        # files written before n_prox_capped was a per-level key carry the
+        # same schema version; they load with the count unknown
+        data, path, _ = small_path()
+        f = tmp_path / "model.json"
+        save_model(f, path)
+        doc = json.loads(f.read_text())
+        for d in doc["diagnostics"]:
+            del d["n_prox_capped"]
+        f.write_text(json.dumps(doc))
+        model = load_model(f)
+        assert [d["n_prox_capped"] for d in model.diagnostics] == [None] * 8
+        assert [d["n_passes"] for d in model.diagnostics] == \
+            [d.n_passes for d in path.diagnostics]
+        np.testing.assert_allclose(model.predict(data.X, data.Z, 7),
+                                   path.predict(data.X, data.Z, index=7),
+                                   rtol=0.0, atol=1e-12)
+        # every other key is still required
+        del doc["diagnostics"][3]["n_passes"]
+        f.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError,
+                           match=r"diagnostics\[3\]: missing key 'n_passes'"):
             load_model(f)

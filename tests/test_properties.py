@@ -18,10 +18,11 @@ from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
 from plasso.solver import (SolverConfig, Workspace, _block_minimize,
-                           check_kkt, fit_single_lambda, prox_group)
+                           _solve_k1, check_kkt, fit_single_lambda,
+                           prox_group)
 
-from oracles import (kkt_per_group_oracle, satisfies_hierarchy,
-                     zero_threshold_oracle)
+from oracles import (block_residual_oracle, kkt_per_group_oracle,
+                     satisfies_hierarchy, zero_threshold_oracle)
 
 _TIGHT = dict(tol_kkt=1e-8, tol_obj=1e-12)
 
@@ -241,3 +242,60 @@ def test_kkt_report_matches_loop_oracle(seed, n, k, lam, alpha, kinds):
     want = kkt_per_group_oracle(y, X, Z, fit.beta0, fit.theta0, beta, theta,
                                 lam, alpha)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def _k1_objective(gram, c, g, rho, mu):
+    """0.5 g'G g - c'g + rho ||g||_2 + (rho + mu) |t|, the K = 1 block."""
+    return (0.5 * float(g @ gram @ g) - float(c @ g)
+            + rho * float(np.hypot(g[0], g[1])) + (rho + mu) * abs(g[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       regime=st.sampled_from(("zero", "beta", "joint+", "joint-")),
+       design=st.sampled_from(("gaussian", "binary", "singular")),
+       lam=st.floats(1e-3, 2.0), alpha=st.floats(0.0, 0.99))
+def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
+                                                  lam, alpha):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    if design == "gaussian":
+        z = rng.standard_normal(n)
+    else:
+        z = (rng.random(n) < 0.5).astype(float)
+        if design == "singular":
+            # z constant on x's support: x o z is x or 0, so the block Gram
+            # matrix [x, x o z]'[x, x o z] / N is singular
+            x = np.where(z == z[0], x, 0.0)
+    rho, mu = (1.0 - alpha) * lam, alpha * lam
+    _, gram, step = Workspace(Dataset(x, x[:, None], z[:, None])).block(0)
+    # build c from the optimality conditions of a chosen minimizer g_star
+    # in the drawn regime, with 1% slack in each inequality
+    u = rng.standard_normal(2)
+    u *= 0.99 * rng.random() / np.linalg.norm(u)
+    v = rng.uniform(-0.99, 0.99)
+    e2 = np.array([0.0, 1.0])
+    b_star = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+    if regime == "zero":
+        g_star = np.zeros(2)
+        sub = rho * u + (rho + mu) * v * e2
+    elif regime == "beta":
+        g_star = np.array([b_star, 0.0])
+        sub = np.array([rho * np.sign(b_star), (rho + mu) * v])
+    else:
+        s = 1.0 if regime == "joint+" else -1.0
+        g_star = np.array([b_star, s * rng.uniform(0.1, 2.0)])
+        sub = rho * g_star / np.linalg.norm(g_star) + (rho + mu) * s * e2
+    c = gram @ g_star + sub
+
+    g = np.array(_solve_k1(gram, c, rho, mu))
+    assert (g[0] != 0.0, np.sign(g[1])) == (
+        regime != "zero", {"joint+": 1.0, "joint-": -1.0}.get(regime, 0.0))
+    a, q = c - gram @ g
+    assert block_residual_oracle(a, [q], g[0], g[1:], rho, mu) <= 1e-10
+    np.testing.assert_allclose(g, g_star, rtol=0.0, atol=1e-8)
+
+    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
+    g_loop, _ = _block_minimize(gram, c, 0.0, np.zeros(2), rho, mu, step, cfg)
+    assert (_k1_objective(gram, c, g, rho, mu)
+            <= _k1_objective(gram, c, g_loop, rho, mu) + 1e-12)

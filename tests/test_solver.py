@@ -7,6 +7,9 @@ import pytest
 from plasso.io import save_model
 from plasso.model import Dataset, PliableFit, interaction_block, objective, predict
 from plasso.path import fit_path, lambda_max
+from plasso.preprocess import standardize
+from plasso.simulate import SimSpec, generate
+import plasso.solver
 from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
                            check_kkt, fit_single_lambda, prox_group,
                            soft_threshold, solve_norm_system)
@@ -292,16 +295,19 @@ class TestFitSingleLambda:
 
     def test_zero_lambda_reaches_least_squares(self):
         rng = np.random.default_rng(12)
-        data = toy_data(rng, n=60, p=3, k=2)
         cfg = SolverConfig(tol_kkt=1e-9, tol_obj=1e-13)
-        fit = fit_single_lambda(data, 0.0, cfg)
-        r = data.y - predict(fit, data.X, data.Z)
-        n = data.n_samples
-        # stationarity of the unpenalized loss: r orthogonal to every column
-        assert np.abs(data.X.T @ r).max() / n < 1e-8
-        for j in range(3):
-            w = interaction_block(data.X, data.Z, j)
-            assert np.abs(w.T @ r).max() / n < 1e-8
+        # k = 1 takes the exact block solve, k = 2 the prox loop
+        for k in (2, 1):
+            data = toy_data(rng, n=60, p=3, k=k)
+            fit = fit_single_lambda(data, 0.0, cfg)
+            r = data.y - predict(fit, data.X, data.Z)
+            n = data.n_samples
+            # stationarity of the unpenalized loss: r is orthogonal to
+            # every column
+            assert np.abs(data.X.T @ r).max() / n < 1e-8
+            for j in range(3):
+                w = interaction_block(data.X, data.Z, j)
+                assert np.abs(w.T @ r).max() / n < 1e-8
 
     def test_no_modifiers_matches_lasso_oracle(self):
         rng = np.random.default_rng(13)
@@ -418,3 +424,25 @@ class TestFitSingleLambda:
             data = toy_data(rng, n=50)
             fit = fit_single_lambda(data, lam)
             assert satisfies_hierarchy(fit)
+
+
+class TestExactK1:
+    def test_hte_path_runs_no_prox_loop(self, monkeypatch):
+        # hte_a has one modifier, the treatment, so every block visit is the
+        # exact K = 1 solve: the prox loop never runs and no solve is capped
+        def no_loop(*args):
+            raise AssertionError("the prox loop ran on a K = 1 block")
+
+        monkeypatch.setattr(plasso.solver, "_block_minimize", no_loop)
+        cfg = SolverConfig()
+        train = generate(SimSpec("hte_a", seed=1)).train
+        assert train.n_modifiers == 1
+        path = fit_path(train, cfg, n_lambda=50)
+        assert [d.n_prox_capped for d in path.diagnostics] == [0] * 50
+        assert path.fits[-1].theta_rows  # the joint case was reached
+        std, _ = standardize(train, cfg.standardize_x, cfg.standardize_z,
+                             cfg.center_y)
+        for fit, d in zip(path.fits, path.diagnostics):
+            kkt = check_kkt(fit, std).max_violation
+            assert kkt <= cfg.tol_kkt
+            assert kkt == pytest.approx(d.kkt_max, rel=1e-6, abs=1e-12)
