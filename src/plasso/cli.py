@@ -243,7 +243,6 @@ def _add_solver_flags(p):
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="optimality (subgradient) tolerance")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True, help="CV table")
+    p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", help="predict from a saved model")

@@ -150,6 +150,10 @@ def run_hte_scenario(scenario: str, seed: int = 0,
 # unobserved modifier, Z = X gamma
 
 
+# scales the CV pick of the alternation penalty; see UnknownZConfig
+CV_LAMBDA_FRACTION = 0.3
+
+
 @dataclass(frozen=True)
 class UnknownZConfig:
     """Alternation settings.  Gamma starts at the least-squares fit of y on
@@ -158,18 +162,18 @@ class UnknownZConfig:
     ``lam`` fixes the sparsity penalty; when None it is chosen once by CV at
     the initial gamma and then held fixed so the enlarged objective stays
     comparable across cycles.  The CV pick is multiplied by
-    ``cv_lambda_fraction``: at a poor initial gamma the honest CV choice kills
-    every interaction, which freezes the alternation at its starting point, so
-    the default deliberately under-penalizes to let weak interactions seed the
-    gamma updates.  ``lambda2`` is the ridge weight on gamma; None picks
-    1e-3 tr(W'W/N)/p at each gamma step.  With ``final_cv`` the returned fit
-    is re-tuned by CV at the learned gamma, since the exploration penalty is
-    too light for prediction; the alternation trace is left untouched.
+    ``CV_LAMBDA_FRACTION`` (0.3): at a poor initial gamma the honest CV choice
+    kills every interaction, which freezes the alternation at its starting
+    point, so the penalty deliberately under-penalizes to let weak
+    interactions seed the gamma updates.  ``lambda2`` is the ridge weight on
+    gamma; None picks 1e-3 tr(W'W/N)/p at each gamma step.  With
+    ``final_cv`` the returned fit is re-tuned by CV at the learned gamma,
+    since the exploration penalty is too light for prediction; the
+    alternation trace is left untouched.
     """
 
     n_cycles: int = 2
     lam: float | None = None
-    cv_lambda_fraction: float = 0.3
     lambda2: float | None = None
     final_cv: bool = True
     cv_folds: int = 10
@@ -179,8 +183,6 @@ class UnknownZConfig:
     def __post_init__(self):
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
-        if not 0.0 < self.cv_lambda_fraction <= 1.0:
-            raise ValueError("cv_lambda_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -199,14 +201,18 @@ class UnknownZResult:
     objective_trace: tuple
     warnings: tuple
 
+    def _scored(self, X):
+        """Standardized X and its modifier scores Xs gamma, for raw X."""
+        xs = self.x_map.transform(X=np.asarray(X, dtype=float))
+        return xs, xs @ self.gamma
+
     def modifier_scores(self, X) -> np.ndarray:
         """Estimated per-row modifier Xs gamma for raw X."""
-        return self.x_map.transform(X=np.asarray(X, dtype=float)) @ self.gamma
+        return self._scored(X)[1]
 
     def predict(self, X) -> np.ndarray:
-        xs = self.x_map.transform(X=np.asarray(X, dtype=float))
-        z = (xs @ self.gamma)[:, None]
-        return predict(self.fit, xs, z) + self.y_mean
+        xs, z = self._scored(X)
+        return predict(self.fit, xs, z[:, None]) + self.y_mean
 
 
 def _enlarged_objective(fit, y, xs, gamma, lam, alpha, lambda2):
@@ -258,7 +264,7 @@ def fit_unknown_z(data: Dataset, config: UnknownZConfig | None = None,
         sel = k_fold_cv(Dataset(y, xs, (xs @ gamma)[:, None]), inner,
                         n_folds=cfg.cv_folds, seed=cfg.seed,
                         n_lambda=cfg.n_lambda)
-        lam = sel.lam_min * cfg.cv_lambda_fraction
+        lam = sel.lam_min * CV_LAMBDA_FRACTION
     trace = []
     fit = PliableFit.zeros(p, 1, lam, inner.alpha)
     gamma_fit = gamma

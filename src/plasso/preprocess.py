@@ -64,11 +64,6 @@ class StandardizationMap:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "y_mean", float(self.y_mean))
 
-    @classmethod
-    def identity(cls, p: int, k: int) -> "StandardizationMap":
-        return cls(np.zeros(p), np.ones(p), np.zeros(k), np.ones(k), 0.0,
-                   standardize_x=False, standardize_z=False, center_y=False)
-
     @property
     def n_predictors(self) -> int:
         return self.x_means.shape[0]

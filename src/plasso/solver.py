@@ -61,12 +61,14 @@ class SolverConfig:
 
     ``tol_obj`` bounds the relative objective change over a full pass and
     ``tol_kkt`` the largest subgradient violation; both must hold to declare
-    convergence.  ``screen`` toggles the zero-block certificate; the joint
-    block loop always runs momentum with restart.  At K = 1 the exact block
-    solve replaces both the per-block certificate and the loop, so only the
-    screening sweep of a full pass reads ``screen`` and ``max_prox_iters`` is
-    unused.  The standardization flags
-    are consumed by the path/CV drivers, not by fit_single_lambda.
+    convergence.  ``screen`` toggles the zero-block certificate.  The joint
+    block loop returns a certified fixed point of the block's prox-gradient
+    map or, cut at ``max_prox_iters`` steps and counted in
+    ``n_prox_capped``, the lower of its last iterate and its start.  At K = 1
+    the exact block solve replaces both the per-block certificate and the
+    loop, so only the screening sweep of a full pass reads ``screen`` and
+    ``max_prox_iters`` is unused.  The standardization flags are consumed by
+    the path/CV drivers, not by fit_single_lambda.
     """
 
     alpha: float = 0.5
@@ -242,28 +244,34 @@ class Workspace:
 # joint block minimization (inner loop)
 
 
-def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
+def _block_value(gram, c, g, rho, mu):
+    """The block objective at g, less the constant r'r/2N of the loss."""
+    th = g[1:]
+    tn = math.sqrt(th @ th)
+    return (0.5 * float(g @ (gram @ g)) - float(c @ g)
+            + rho * (math.hypot(g[0], tn) + tn) + mu * float(np.abs(th).sum()))
+
+
+def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
     """Minimize the block objective from g0 by proximal gradient with the
-    fixed step t = 1/L and restarted momentum.  Monotone in the block
-    objective.  Returns the minimizer and whether the loop stopped before
-    ``cfg.max_prox_iters``.
+    fixed step t = 1/L and momentum restarted by the gradient test of
+    O'Donoghue and Candes (2015).  Returns the block and whether the loop
+    stopped before ``cfg.max_prox_iters``.  A block returned with True is a
+    certified fixed point of the prox-gradient map T.  Momentum steps need
+    not descend, so one returned with False is the lower of the last iterate
+    and g0, the only objective values the solve evaluates.
 
     With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
-    is 0.5 g'G g - c'g + half_rr for G = D'D/N, c = D'r/N and
-    half_rr = r'r/2N, so every iteration works on (K+1)-vectors only.  Since
-    L bounds the curvature of that quadratic exactly, the sufficient-decrease
-    test of a backtracking search always passes at t = 1/L.
+    is 0.5 g'G g - c'g + const for G = D'D/N and c = D'r/N, so every
+    iteration works on (K+1)-vectors only, and L, the largest eigenvalue of
+    G, bounds its curvature exactly.  Each step takes g_new = T(y) at the
+    momentum point y.  T is nonexpansive for t <= 1/L, so
+    ||T(g_new) - g_new||_2 <= ||g_new - y||_2 and a small move from y
+    certifies g_new.  Otherwise momentum restarts when the step points
+    against the last move, (y - g_new)'(g_new - g) > 0; the step is kept
+    either way.
     """
-
-    def total(g):
-        th = g[1:]
-        tn = math.sqrt(th @ th)
-        return (0.5 * float(g @ (gram @ g)) - float(c @ g) + half_rr
-                + rho * (math.hypot(g[0], tn) + tn)
-                + mu * float(np.abs(th).sum()))
-
     g = np.array(g0, dtype=float)
-    f = total(g)
     g_prev = g
     k = 1
     tol = 0.05 * cfg.tol_kkt * t
@@ -281,26 +289,15 @@ def _block_minimize(gram, c, half_rr, g0, rho, mu, t, cfg: SolverConfig):
         g_new = np.empty_like(g)
         g_new[0] = beta_new
         g_new[1:] = theta_new
-        f_new = total(g_new)
-        if f_new > f + 1e-12 * max(1.0, abs(f)):
-            if k > 1:
-                # momentum overshot; restart the sequence from the incumbent
-                k = 1
-                g_prev = g
-                continue
-            return g, True
-        # after a momentum step a small move from the incumbent does not
-        # make g_new stationary; a small move from y, where the gradient was
-        # taken, does: the prox-gradient map T is nonexpansive for t <= 1/L,
-        # so ||T(g_new) - g_new||_2 <= ||g_new - y||_2
-        done = (np.abs(g_new - g).max() <= tol
-                and (y is g or np.abs(g_new - y).max() <= tol))
+        step = g_new - y
+        if np.abs(step).max() <= tol:
+            return g_new, True
+        # restart when the step from y points against the move g -> g_new
+        k = 1 if step @ (g_new - g) < 0.0 else k + 1
         g_prev = g
         g = g_new
-        f = f_new
-        k += 1
-        if done:
-            return g, True
+    if _block_value(gram, c, g, rho, mu) > _block_value(gram, c, g0, rho, mu):
+        g = np.array(g0, dtype=float)
     return g, False
 
 
@@ -554,9 +551,8 @@ class _Fitter:
                 return
         d, gram, t = self.ws.block(j)
         g0 = np.concatenate(([b_old], self.theta[j]))
-        g, stopped = _block_minimize(gram, d.T @ r_mj / n,
-                                     0.5 * float(r_mj @ r_mj) / n,
-                                     g0, self.rho, self.mu, t, self.cfg)
+        g, stopped = _block_minimize(gram, d.T @ r_mj / n, g0, self.rho,
+                                     self.mu, t, self.cfg)
         self.n_prox_capped += not stopped
         row_new = g[1:]
         has_row = bool(row_new.any())

@@ -253,6 +253,22 @@ class TestExitCodes:
         assert main([]) == 1
         capsys.readouterr()
 
+    def test_seed_is_a_cv_flag(self, tmp_path, capsys):
+        # only cv shuffles folds, so fit takes no --seed
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=30)
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--data", str(data), "--z-cols", "w",
+                   "--model", str(model), "--nlambda", "4", "--seed", "1"])
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not model.exists()
+        rc = main(["cv", "--data", str(data), "--z-cols", "w",
+                   "--model", str(model), "--output", str(tmp_path / "o.tsv"),
+                   "--nlambda", "4", "--folds", "3", "--seed", "9"])
+        assert rc == 0
+        assert model.exists()
+
     def test_value_errors_are_1(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"
         write_training_file(data, n=20)

@@ -137,10 +137,6 @@ class TestUnknownZConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_cycles"):
             UnknownZConfig(n_cycles=0)
-        with pytest.raises(ValueError, match="fraction"):
-            UnknownZConfig(cv_lambda_fraction=0.0)
-        with pytest.raises(ValueError, match="fraction"):
-            UnknownZConfig(cv_lambda_fraction=1.5)
 
     def test_rejects_data_with_modifiers(self):
         d = Dataset(np.zeros(5), np.ones((5, 2)), np.ones((5, 1)))

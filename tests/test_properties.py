@@ -168,8 +168,7 @@ def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
     ws = Workspace(Dataset(r, x[:, None], Z))
     d, gram, t = ws.block(0)
     c = d.T @ r / n
-    g, stopped = _block_minimize(gram, c, 0.5 * float(r @ r) / n, g0, rho, mu,
-                                 t, cfg)
+    g, stopped = _block_minimize(gram, c, g0, rho, mu, t, cfg)
     assert stopped
 
     # one more prox-gradient step from the output must not move it by more
@@ -296,6 +295,6 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
     np.testing.assert_allclose(g, g_star, rtol=0.0, atol=1e-8)
 
     cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
-    g_loop, _ = _block_minimize(gram, c, 0.0, np.zeros(2), rho, mu, step, cfg)
+    g_loop, _ = _block_minimize(gram, c, np.zeros(2), rho, mu, step, cfg)
     assert (_k1_objective(gram, c, g, rho, mu)
             <= _k1_objective(gram, c, g_loop, rho, mu) + 1e-12)

@@ -360,14 +360,14 @@ class TestFitSingleLambda:
             fit_path(data, cfg, lambdas=[0.02, 0.01])
         assert str(info.value).startswith("lambda[0]=0.02: no convergence")
         assert f"worst_group={info.value.kkt.worst_group}," in str(info.value)
-        # collinear Z: joint solves are cut at max_prox_iters before the
-        # fit converges, and the message counts them
+        # collinear Z with a low inner cap: joint solves are cut at
+        # max_prox_iters before the fit converges, and the message counts them
         data = collinear_z_data(np.random.default_rng(32))
-        cfg = SolverConfig(alpha=0.5, **RAW)
+        cfg = SolverConfig(alpha=0.5, max_prox_iters=20, **RAW)
         lam = 1e-3 * lambda_max(data, cfg.alpha)
         _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
-        short = SolverConfig(alpha=0.5, max_outer_iters=diag.n_passes // 2,
-                             **RAW)
+        short = SolverConfig(alpha=0.5, max_prox_iters=20,
+                             max_outer_iters=diag.n_passes // 2, **RAW)
         with pytest.raises(ConvergenceError) as info:
             fit_single_lambda(data, lam, short)
         capped = int(re.search(r"n_prox_capped=(\d+)\)",
@@ -376,12 +376,15 @@ class TestFitSingleLambda:
 
     def test_capped_joint_solves_are_counted(self, tmp_path):
         # Z's columns are collinear, so the block Gram matrix [x, x o Z] is
-        # singular and at a small penalty some joint solves reach
-        # max_prox_iters; the outer passes still certify the fit
+        # singular and at a small penalty and a low inner cap some joint
+        # solves reach max_prox_iters; the outer passes still certify the fit
         rng = np.random.default_rng(32)
         data = collinear_z_data(rng)
-        cfg = SolverConfig(alpha=0.5, **RAW)
-        lam = 1e-3 * lambda_max(data, cfg.alpha)
+        lam = 1e-3 * lambda_max(data, 0.5)
+        _, diag = fit_single_lambda(data, lam, SolverConfig(alpha=0.5, **RAW),
+                                    return_diagnostics=True)
+        assert diag.n_prox_capped == 0  # the default cap is not reached
+        cfg = SolverConfig(alpha=0.5, max_prox_iters=20, **RAW)
         result = fit_path(data, cfg, lambdas=[lam])
         assert result.diagnostics[0].n_prox_capped > 0
         assert result.diagnostics[0].kkt_max <= cfg.tol_kkt
@@ -395,6 +398,38 @@ class TestFitSingleLambda:
         _, diag = fit_single_lambda(toy_data(rng), 0.1, cfg,
                                     return_diagnostics=True)
         assert diag.n_prox_capped == 0
+
+    @pytest.mark.parametrize("cap", [2, 5, 20])
+    def test_capped_joint_solve_never_rises(self, monkeypatch, cap):
+        # momentum steps need not descend, so a joint solve cut at
+        # max_prox_iters must still end no higher than it started; then no
+        # pass raises the objective
+        def value(gram, c, g, rho, mu):
+            tn = float(np.linalg.norm(g[1:]))
+            return (0.5 * g @ gram @ g - c @ g + rho * (np.hypot(g[0], tn) + tn)
+                    + mu * np.abs(g[1:]).sum())
+
+        inner = plasso.solver._block_minimize
+        rises = []
+
+        def spy(gram, c, g0, rho, mu, t, cfg):
+            g, stopped = inner(gram, c, g0, rho, mu, t, cfg)
+            if not stopped:
+                f0 = value(gram, c, g0, rho, mu)
+                rises.append((value(gram, c, g, rho, mu) - f0)
+                             / max(1.0, abs(f0)))
+            return g, stopped
+
+        monkeypatch.setattr(plasso.solver, "_block_minimize", spy)
+        data = collinear_z_data(np.random.default_rng(32))
+        lam = 1e-3 * lambda_max(data, 0.5)
+        cfg = SolverConfig(alpha=0.5, max_prox_iters=cap, **RAW)
+        _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
+        assert len(rises) == diag.n_prox_capped > 0
+        assert max(rises) <= 1e-12
+        obj = diag.objective_per_pass
+        assert all(b <= a + 1e-12 * max(1.0, abs(a))
+                   for a, b in zip(obj, obj[1:]))
 
     def test_workspace_reuse_and_mismatch(self):
         rng = np.random.default_rng(16)
