@@ -4,7 +4,9 @@
         --note "what changed"
 
 The change is this checkout's working tree; the parent is ``--parent``,
-checked out into a temporary ``git worktree`` that is removed at the end.
+exported with ``git archive`` into a temporary directory that is removed at
+the end (set TMPDIR to choose where), so the repository's own git state is
+never touched.
 For each of the ``N_PAIRS`` pairs i = 0, 1, ... and each workload in turn,
 both sides run
 
@@ -136,7 +138,7 @@ def build_report(raw, spec, meta):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True,
-                    help="parent commit, checked out into a git worktree")
+                    help="parent commit, exported with git archive")
     ap.add_argument("--label", required=True)
     ap.add_argument("--note", default="", help="one line on the change")
     ap.add_argument("--seed0", type=int, required=True,
@@ -156,12 +158,13 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_dir = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), parent_commit)
-        try:
-            env, raw = collect({"parent": parent_dir, "change": ROOT},
-                               args.seed0, seconds, log)
-        finally:
-            git("worktree", "remove", "--force", str(parent_dir))
+        parent_dir.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive,
+                       check=True)
+        env, raw = collect({"parent": parent_dir, "change": ROOT},
+                           args.seed0, seconds, log)
     head = git("rev-parse", "HEAD")
     meta = {
         "label": args.label,
@@ -176,8 +179,8 @@ def main(argv=None) -> int:
             f"{args.seed0 + N_PAIRS - 1} (pair i uses seed {args.seed0}+i "
             "on both sides); the parent runs first in even pairs, the change "
             "in odd pairs; pairs loop over the workloads in turn; the parent "
-            "runs from a git worktree of its commit, the change from the "
-            "working tree; BLAS pinned to one thread by run.py. Quartiles "
+            "runs from a git archive export of its commit, the change from "
+            "the working tree; BLAS pinned to one thread by run.py. Quartiles "
             "are numpy's linear-interpolation percentiles; a win is one side "
             "strictly better than the other in the same pair, so ties count "
             "for neither. per_layer holds one `--trace 1` run per side and "

@@ -9,7 +9,7 @@ from .preprocess import (StandardizationError, StandardizationMap,
                          destandardize_fit, standardize)
 from .solver import (ConvergenceError, KktReport, ProxSolveError,
                      SolverConfig, check_kkt, fit_single_lambda, prox_group,
-                     soft_threshold, solve_norm_system)
+                     soft_threshold)
 from .path import PathResult, fit_path, lambda_grid, lambda_max
 from .cv import CvResult, k_fold_cv
 from .simulate import SPEC_NAMES, SimData, SimSpec, generate
@@ -28,7 +28,6 @@ __all__ = [
     "standardize",
     "ConvergenceError", "KktReport", "ProxSolveError", "SolverConfig",
     "check_kkt", "fit_single_lambda", "prox_group", "soft_threshold",
-    "solve_norm_system",
     "PathResult", "fit_path", "lambda_grid", "lambda_max",
     "CvResult", "k_fold_cv",
     "SPEC_NAMES", "SimData", "SimSpec", "generate",

@@ -106,10 +106,8 @@ def standardize(data: Dataset, standardize_x: bool = True,
     y_mean = float(data.y.mean()) if center_y else 0.0
     smap = StandardizationMap(x_means, x_scales, z_means, z_scales, y_mean,
                               standardize_x, standardize_z, center_y)
-    out = Dataset((data.y - y_mean),
-                  (data.X - x_means) / x_scales,
-                  (data.Z - z_means) / z_scales if data.n_modifiers else data.Z)
-    return out, smap
+    X, Z, y = smap.transform(data.X, data.Z, data.y)
+    return Dataset(y, X, Z), smap
 
 
 def destandardize_fit(fit: PliableFit, smap: StandardizationMap) -> PliableFit:

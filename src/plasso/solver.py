@@ -31,7 +31,6 @@ __all__ = [
     "ProxSolveError",
     "Workspace",
     "soft_threshold",
-    "solve_norm_system",
     "prox_group",
     "fit_single_lambda",
     "check_kkt",
@@ -116,14 +115,10 @@ class FitDiagnostics:
 
 
 def soft_threshold(x, t):
-    """S(x, t) = sign(x) max(|x| - t, 0), elementwise.  Requires t >= 0."""
+    """S(x, t) = sign(x) max(|x| - t, 0) on each entry of the array x.
+    Requires t >= 0."""
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
-    if type(x) is not np.ndarray or not x.ndim:  # n-d arrays skip the checks
-        if np.isscalar(x) or np.ndim(x) == 0:
-            x = float(x)
-            return np.sign(x) * max(abs(x) - t, 0.0)
-        x = np.asarray(x, dtype=float)
     return np.copysign(np.maximum(np.abs(x) - t, 0.0), x)
 
 
@@ -158,47 +153,34 @@ def _zero_slack(a, q, rho, mu):
     return np.maximum(np.abs(a) - rho, norm - _zero_budget(a, rho))
 
 
-def solve_norm_system(g1: float, g2: float, c: float):
-    """Solve for the block magnitudes a = |beta|, b = ||theta|| satisfying
+def prox_group(z, c, l1):
+    """Proximal map of c (||g||_2 + ||theta||_2) + l1 ||theta||_1 at the
+    stacked block z = (beta, theta), returned as one array like z.
 
-        (1 + c / s) a = g1,      (1 + c (1/b + 1/s)) b = g2,
-
-    with s = sqrt(a^2 + b^2).  Eliminating a and b through the shared factor
-    s/(s + c) gives s = sqrt(g1^2 + (g2 - c)^2) - c in the interior; the
-    boundary branches are b = 0 when g2 <= c and a = b = 0 when the joint
-    magnitude falls below c.  Inputs must be nonnegative.
+    The three penalty pieces nest (entries of theta, theta, the whole
+    block), so the map is their composition from the inside out (Jenatton,
+    Mairal, Obozinski and Bach 2011): soft-threshold the theta entries by
+    l1, group-shrink theta by c, then group-shrink the block by c.  Theta
+    takes both shrink factors in one product.
     """
-    if min(g1, g2, c) < 0:
-        raise ValueError("solve_norm_system inputs must be nonnegative")
-    bb = g2 - c if g2 > c else 0.0
-    root = math.hypot(g1, bb)
-    if root <= c:
-        return 0.0, 0.0
-    scale = (root - c) / root
-    return g1 * scale, bb * scale
-
-
-def prox_group(zeta_beta: float, zeta_theta: np.ndarray, c: float, l1: float):
-    """Proximal map of c (||(b, t)||_2 + ||t||_2) + l1 ||t||_1 at (zeta_beta, zeta_theta).
-
-    The three penalty pieces nest (entries of theta, theta, the whole block),
-    so the map composes: soft-threshold theta entries, group-shrink theta,
-    group-shrink the joint block.  The magnitudes solve the norm system above.
-    """
-    zb = float(zeta_beta)
-    zt = np.asarray(zeta_theta, dtype=float)
-    t1 = soft_threshold(zt, l1)
+    z = np.asarray(z, dtype=float)
+    t1 = soft_threshold(z[1:], l1)
     g2 = math.sqrt(t1 @ t1)
-    a, b = solve_norm_system(abs(zb), g2, c)
-    if a == 0.0 and b == 0.0:
-        return 0.0, np.zeros_like(zt)
-    beta = a if zb >= 0.0 else -a
-    theta = t1 * (b / g2) if b > 0.0 else np.zeros_like(zt)
-    if not (math.isfinite(beta) and np.isfinite(theta).all()):
+    # the theta norm after its group shrink, and the block norm before its own
+    tn = g2 - c if g2 > c else 0.0
+    root = math.hypot(z[0], tn)
+    if root <= c:
+        return np.zeros_like(z)
+    scale = (root - c) / root
+    g = np.empty_like(z)
+    g[0] = z[0] * scale
+    b = tn * scale
+    g[1:] = t1 * (b / g2) if b > 0.0 else 0.0
+    if not np.isfinite(g).all():
         raise ProxSolveError(
             "proximal map produced non-finite values",
-            diagnostics={"zeta_beta": zeta_beta, "g2": g2, "c": c, "l1": l1})
-    return beta, theta
+            diagnostics={"z": z, "c": c, "l1": l1})
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +205,8 @@ class Workspace:
     def block(self, j: int):
         """(D_j, G_j, 1/L_j) with D_j = [X_j, W_j], G_j = D_j'D_j / N and L_j
         the largest eigenvalue of G_j, the exact Lipschitz constant of the
-        block loss gradient."""
+        block loss gradient.  The step is None at K = 1, whose exact block
+        solve takes no step."""
         got = self._block.get(j)
         if got is None:
             data = self.data
@@ -231,8 +214,11 @@ class Workspace:
             d[:, 0] = data.X[:, j]
             d[:, 1:] = interaction_block(data.X, data.Z, j)
             gram = d.T @ d / data.n_samples
-            lip = float(np.linalg.eigvalsh(gram)[-1])
-            got = (d, gram, 1.0 / lip if lip > 0 else 1.0)
+            step = None
+            if data.n_modifiers != 1:
+                lip = float(np.linalg.eigvalsh(gram)[-1])
+                step = 1.0 / lip if lip > 0 else 1.0
+            got = (d, gram, step)
             self._block[j] = got
         return got
 
@@ -265,11 +251,12 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
     is 0.5 g'G g - c'g + const for G = D'D/N and c = D'r/N, so every
     iteration works on (K+1)-vectors only, and L, the largest eigenvalue of
     G, bounds its curvature exactly.  Each step takes g_new = T(y) at the
-    momentum point y.  T is nonexpansive for t <= 1/L, so
-    ||T(g_new) - g_new||_2 <= ||g_new - y||_2 and a small move from y
-    certifies g_new.  Otherwise momentum restarts when the step points
-    against the last move, (y - g_new)'(g_new - g) > 0; the step is kept
-    either way.
+    momentum point y, with T(y) = prox_group(y - t (G y - c), t rho, t mu)
+    on the stacked block, so no step splits or restacks g.  T is
+    nonexpansive for t <= 1/L, so ||T(g_new) - g_new||_2 <= ||g_new - y||_2
+    and a small move from y certifies g_new.  Otherwise momentum restarts
+    when the step points against the last move, (y - g_new)'(g_new - g) > 0;
+    the step is kept either way.
     """
     g = np.array(g0, dtype=float)
     g_prev = g
@@ -284,11 +271,7 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
             y = g + ((k - 1.0) / (k + 2.0)) * (g - g_prev)
         else:
             y = g
-        z = a_mat @ y + tc
-        beta_new, theta_new = prox_group(z[0], z[1:], t_rho, t_mu)
-        g_new = np.empty_like(g)
-        g_new[0] = beta_new
-        g_new[1:] = theta_new
+        g_new = prox_group(a_mat @ y + tc, t_rho, t_mu)
         step = g_new - y
         if np.abs(step).max() <= tol:
             return g_new, True
@@ -401,13 +384,8 @@ def _solve_k1(gram, c, rho, mu):
         if g[1] * sign > 0.0:
             return g
         cands.append(g)
-
-    def total(g):
-        b, t = g
-        return (0.5 * (g00 * b * b + 2.0 * g01 * b * t + g11 * t * t)
-                - c0 * b - c1 * t + rho * math.hypot(b, t) + rm * abs(t))
-
-    return min(cands, key=total)
+    gram, c = np.asarray(gram), np.asarray(c)
+    return min(cands, key=lambda g: _block_value(gram, c, np.array(g), rho, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +518,8 @@ class _Fitter:
                 return
             if self.ws.xnorm2[j] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
-            bhat = soft_threshold(a, self.rho) * n / self.ws.xnorm2[j]
+            bhat = (math.copysign(abs(a) - self.rho, a) if abs(a) > self.rho
+                    else 0.0) * n / self.ws.xnorm2[j]
             resid_b = r_mj - x_j * bhat
             sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
             if math.sqrt(sq @ sq) <= self.rho:

@@ -140,7 +140,8 @@ def test_c04_prox_map():
         zt = rng.normal(0.0, 1.5, k)
         c = float(rng.uniform(0.01, 2.0))
         l1 = float(rng.uniform(0.0, 1.5))
-        beta, theta = prox_group(zb, zt, c, l1)
+        g = prox_group(np.concatenate(([zb], zt)), c, l1)
+        beta, theta = g[0], g[1:]
         b_ref, t_ref = prox_oracle(zb, zt, c, l1)
         worst_gap = max(worst_gap, abs(beta - b_ref),
                         float(np.max(np.abs(theta - t_ref))))

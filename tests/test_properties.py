@@ -150,6 +150,12 @@ def _block_objective(d, r, g, rho, mu):
             + mu * float(np.abs(g[1:]).sum()))
 
 
+def _step(gram):
+    """The fixed step 1/L of the block loop, L the largest eigenvalue of G."""
+    lip = float(np.linalg.eigvalsh(gram)[-1])
+    return 1.0 / lip if lip > 0 else 1.0
+
+
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
        k=st.integers(0, 4), lam=st.floats(1e-3, 1.5),
@@ -167,15 +173,15 @@ def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
     rho, mu = (1.0 - alpha) * lam, alpha * lam
     ws = Workspace(Dataset(r, x[:, None], Z))
     d, gram, t = ws.block(0)
+    if t is None:
+        t = _step(gram)  # K = 1 blocks carry no step; the fitter never loops
     c = d.T @ r / n
     g, stopped = _block_minimize(gram, c, g0, rho, mu, t, cfg)
     assert stopped
 
     # one more prox-gradient step from the output must not move it by more
     # than the inner stopping tolerance allows: sqrt(K+1) * 0.05 tol_kkt t
-    z = g - t * (gram @ g - c)
-    beta, theta = prox_group(z[0], z[1:], t * rho, t * mu)
-    step = np.concatenate([[beta], theta]) - g
+    step = prox_group(g - t * (gram @ g - c), t * rho, t * mu) - g
     assert float(np.max(np.abs(step))) <= np.sqrt(k + 1) * 0.05 * cfg.tol_kkt * t
 
     f0 = _block_objective(d, r, g0, rho, mu)
@@ -267,7 +273,7 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
             # matrix [x, x o z]'[x, x o z] / N is singular
             x = np.where(z == z[0], x, 0.0)
     rho, mu = (1.0 - alpha) * lam, alpha * lam
-    _, gram, step = Workspace(Dataset(x, x[:, None], z[:, None])).block(0)
+    _, gram, _ = Workspace(Dataset(x, x[:, None], z[:, None])).block(0)
     # build c from the optimality conditions of a chosen minimizer g_star
     # in the drawn regime, with 1% slack in each inequality
     u = rng.standard_normal(2)
@@ -295,6 +301,7 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
     np.testing.assert_allclose(g, g_star, rtol=0.0, atol=1e-8)
 
     cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
-    g_loop, _ = _block_minimize(gram, c, np.zeros(2), rho, mu, step, cfg)
+    g_loop, _ = _block_minimize(gram, c, np.zeros(2), rho, mu, _step(gram),
+                                cfg)
     assert (_k1_objective(gram, c, g, rho, mu)
             <= _k1_objective(gram, c, g_loop, rho, mu) + 1e-12)

@@ -11,8 +11,8 @@ from plasso.preprocess import standardize
 from plasso.simulate import SimSpec, generate
 import plasso.solver
 from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
-                           check_kkt, fit_single_lambda, prox_group,
-                           soft_threshold, solve_norm_system)
+                           ProxSolveError, check_kkt, fit_single_lambda,
+                           prox_group, soft_threshold)
 
 from oracles import (lasso_cd, norm_equation_residuals, prox_objective,
                      prox_oracle, satisfies_hierarchy)
@@ -59,36 +59,6 @@ class TestSoftThreshold:
             soft_threshold(1.0, -0.1)
 
 
-class TestSolveNormSystem:
-    def test_joint_zero_when_pull_small(self):
-        assert solve_norm_system(0.3, 0.3, 0.5) == (0.0, 0.0)
-        # boundary: hypot(g1, (g2-c)+) == c exactly
-        assert solve_norm_system(0.5, 0.2, 0.5) == (0.0, 0.0)
-
-    def test_theta_dies_first(self):
-        a, b = solve_norm_system(2.0, 0.4, 0.5)
-        assert b == 0.0
-        assert a == pytest.approx(1.5)  # collapses to scalar soft threshold
-
-    def test_interior_satisfies_equations(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        for _ in range(200):
-            g1, g2 = rng.uniform(0.0, 3.0, size=2)
-            c = rng.uniform(0.01, 1.0)
-            a, b = solve_norm_system(g1, g2, c)
-            assert a >= 0.0 and b >= 0.0
-            if a > 0.0 and b > 0.0:
-                r1, r2 = norm_equation_residuals(a, b, g1, g2, c)
-                assert max(r1, r2) < 1e-10
-                checked += 1
-        assert checked > 50
-
-    def test_rejects_negative_input(self):
-        with pytest.raises(ValueError):
-            solve_norm_system(-1.0, 0.0, 0.5)
-
-
 class TestProxGroup:
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(11)
@@ -98,7 +68,8 @@ class TestProxGroup:
             zt = rng.normal(scale=2.0, size=k)
             c = rng.uniform(0.01, 1.5)
             l1 = rng.uniform(0.0, 1.5)
-            beta, theta = prox_group(zb, zt, c, l1)
+            g = prox_group(np.concatenate(([zb], zt)), c, l1)
+            beta, theta = g[0], g[1:]
             beta_o, theta_o = prox_oracle(zb, zt, c, l1)
             assert beta == pytest.approx(beta_o, abs=1e-9)
             np.testing.assert_allclose(theta, theta_o, atol=1e-9)
@@ -109,8 +80,8 @@ class TestProxGroup:
             zb = rng.normal(scale=3.0)
             zt = rng.normal(scale=3.0, size=3)
             c, l1 = rng.uniform(0.05, 2.0, size=2)
-            got = prox_group(zb, zt, c, l1)
-            ours = prox_objective(got[0], got[1], zb, zt, c, l1)
+            got = prox_group(np.concatenate(([zb], zt)), c, l1)
+            ours = prox_objective(got[0], got[1:], zb, zt, c, l1)
             ref = prox_objective(*prox_oracle(zb, zt, c, l1), zb, zt, c, l1)
             assert ours <= ref + 1e-12
 
@@ -122,7 +93,8 @@ class TestProxGroup:
             zt = rng.normal(scale=2.0, size=4)
             c = rng.uniform(0.01, 0.6)
             l1 = rng.uniform(0.0, 0.4)
-            beta, theta = prox_group(zb, zt, c, l1)
+            g = prox_group(np.concatenate(([zb], zt)), c, l1)
+            beta, theta = g[0], g[1:]
             tn = float(np.linalg.norm(theta))
             if beta != 0.0 and tn > 0.0:
                 st = soft_threshold(np.asarray(zt), l1)
@@ -132,14 +104,37 @@ class TestProxGroup:
                 hit += 1
         assert hit > 50
 
+    def test_joint_zero_when_pull_small(self):
+        # the theta norm after its shrink is (0.3 - 0.5)+ = 0, and the block
+        # norm hypot(0.3, 0) falls below c
+        assert prox_group(np.array([0.3, 0.3]), 0.5, 0.0).tolist() == [0.0, 0.0]
+        # boundary: hypot(|z_0|, (||theta|| - c)+) == c exactly
+        assert prox_group(np.array([0.5, 0.2]), 0.5, 0.0).tolist() == [0.0, 0.0]
+
+    def test_theta_dies_first(self):
+        g = prox_group(np.array([2.0, 0.4]), 0.5, 0.0)
+        assert g[1] == 0.0
+        assert g[0] == pytest.approx(1.5)  # collapses to scalar soft threshold
+
     def test_sign_carried_from_input(self):
-        beta, _ = prox_group(-2.0, np.zeros(2), 0.5, 0.1)
-        assert beta == pytest.approx(-1.5)
+        g = prox_group(np.array([-2.0, 0.0, 0.0]), 0.5, 0.1)
+        assert g[0] == pytest.approx(-1.5)
 
     def test_shrinks_toward_zero(self):
-        beta, theta = prox_group(1.0, np.array([2.0, -1.0]), 0.3, 0.2)
-        assert abs(beta) <= 1.0
-        assert np.all(np.abs(theta) <= np.array([2.0, 1.0]))
+        z = np.array([1.0, 2.0, -1.0])
+        g = prox_group(z, 0.3, 0.2)
+        assert g.shape == z.shape
+        assert np.all(np.abs(g) <= np.abs(z))
+
+    def test_non_finite_output_raises(self):
+        # the squared theta norm overflows, so the block shrink factor is
+        # inf / inf; the map raises instead of returning NaN
+        z = np.array([1.5e308, 1.5e308])
+        with np.errstate(over="ignore"), pytest.raises(ProxSolveError) as err:
+            prox_group(z, 1.0, 0.0)
+        diag = err.value.diagnostics
+        assert diag["z"].tolist() == z.tolist()
+        assert (diag["c"], diag["l1"]) == (1.0, 0.0)
 
 
 class TestSingleBlockOps:
@@ -197,10 +192,9 @@ class TestSingleBlockOps:
                              interaction_block(data.X, data.Z, 0)])
         g = np.concatenate([[fit.beta[0]], fit.theta[0]])
         z = g + t * (d.T @ r) / data.n_samples
-        beta, theta = prox_group(z[0], z[1:], t * (1.0 - cfg.alpha) * lam,
-                                 t * cfg.alpha * lam)
-        assert beta == pytest.approx(fit.beta[0], abs=1e-7)
-        np.testing.assert_allclose(theta, g[1:], atol=1e-7)
+        g_new = prox_group(z, t * (1.0 - cfg.alpha) * lam, t * cfg.alpha * lam)
+        assert g_new[0] == pytest.approx(fit.beta[0], abs=1e-7)
+        np.testing.assert_allclose(g_new[1:], g[1:], atol=1e-7)
 
 
 class TestIntercepts:
