@@ -16,6 +16,9 @@ from their own root, with S the ``run_seconds`` of BENCHMARK.json, the
 parent first in even pairs and the change first in odd ones, so slow drift
 of the machine hits both sides alike.  Each side then makes one
 ``--trace 1`` run per workload, at seed SEED0, for the per-layer metrics.
+The traced runs are pinned to one CPU: there bootstrap replicates and CV
+folds are refit in the traced process itself, while with more CPUs they go
+to worker processes whose spans the trace never sees.
 The result goes to ``BENCH_<label>.json`` in this checkout: per workload
 and end-to-end metric the median, quartiles and every run of each side, the
 win counts and the relative change of the medians; failed and attempted
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -67,12 +71,15 @@ def summarize(parent, change, better):
 
 
 def run_bench(root, workload, seed, seconds, trace):
-    """One run.py invocation from ``root``: (env, last-line JSON result)."""
+    """One run.py invocation from ``root``: (env, last-line JSON result).
+    A traced run is pinned to the first CPU this process may use."""
+    cpu = {min(os.sched_getaffinity(0))}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, cpu)) if trace else None)
     if proc.returncode != 0:
         raise RuntimeError(f"run.py {workload} seed {seed} in {root} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -184,7 +191,7 @@ def main(argv=None) -> int:
             "are numpy's linear-interpolation percentiles; a win is one side "
             "strictly better than the other in the same pair, so ties count "
             "for neither. per_layer holds one `--trace 1` run per side and "
-            f"workload at seed {args.seed0}."),
+            f"workload at seed {args.seed0}, pinned to one CPU."),
         "environment": env,
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -8,11 +8,12 @@ raw coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import Dataset
-from .path import PathResult, fit_path
+from .path import PathResult, _map_paths, fit_path
 from .preprocess import StandardizationError
 from .solver import SolverConfig
 
@@ -52,11 +53,31 @@ def _fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
     return ids
 
 
+def _fold_errors(data, cfg, grid, ids, f):
+    """Held-out mean squared error along ``grid`` of the path refit without
+    the rows of fold ``f``."""
+    test = ids == f
+    train = ~test
+    sub = Dataset(data.y[train], data.X[train],
+                  data.Z[train] if data.n_modifiers else None)
+    try:
+        fold_path = fit_path(sub, cfg, lambdas=grid)
+    except StandardizationError as err:
+        raise StandardizationError(f"fold {f}: {err}") from err
+    preds = fold_path.predict(data.X[test],
+                              data.Z[test] if data.n_modifiers else None)
+    return ((data.y[test, None] - preds) ** 2).mean(axis=0)
+
+
 def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
               n_folds: int = 10, seed: int = 0, n_lambda: int = 50,
               lambda_min_ratio: float | None = None,
               folds=None) -> CvResult:
     """Cross-validate the path.
+
+    The full-data path, which fixes the grid, is fit here; the folds are
+    refit in worker processes, one per CPU (see ``path._map_paths``), with
+    results identical to refitting them in turn.
 
     Parameters
     ----------
@@ -80,19 +101,8 @@ def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
     labels = np.unique(ids)
     if labels.size < 2:
         raise ValueError("need at least two folds")
-    errs = np.empty((labels.size, grid.size))
-    for fi, f in enumerate(labels):
-        test = ids == f
-        train = ~test
-        sub = Dataset(data.y[train], data.X[train],
-                      data.Z[train] if data.n_modifiers else None)
-        try:
-            fold_path = fit_path(sub, cfg, lambdas=grid)
-        except StandardizationError as err:
-            raise StandardizationError(f"fold {f}: {err}") from err
-        preds = fold_path.predict(data.X[test],
-                                  data.Z[test] if data.n_modifiers else None)
-        errs[fi] = ((data.y[test, None] - preds) ** 2).mean(axis=0)
+    errs = np.array(_map_paths(partial(_fold_errors, data, cfg, grid, ids),
+                               labels))
     cv_mean = errs.mean(axis=0)
     cv_se = errs.std(axis=0, ddof=1) / np.sqrt(labels.size)
     idx_min = int(np.argmin(cv_mean))

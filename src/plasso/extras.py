@@ -4,14 +4,17 @@ alternating fit when the modifying variable is an unobserved linear score.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .cv import k_fold_cv
 from .model import Dataset, DimensionError, PliableFit, predict
 from .preprocess import StandardizationMap, standardize
-from .path import fit_path
+from .path import _map_paths, fit_path
 from .simulate import SimSpec, generate
 from .solver import SolverConfig, fit_single_lambda
 
@@ -44,44 +47,62 @@ class DfEstimate:
     bootstrap_reps: int
 
 
+def _check_sigma(sigma):
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def covariance_df(y_draws, yhat_draws, sigma: float) -> float:
     """df = sum_i Cov(y_i, yhat_i) / sigma^2 with sample covariances across
     replicate draws (rows)."""
+    _check_sigma(sigma)
     y = np.asarray(y_draws, dtype=float)
     yh = np.asarray(yhat_draws, dtype=float)
     if y.shape != yh.shape or y.ndim != 2 or y.shape[0] < 2:
         raise ValueError("need matching (B, N) draw matrices with B >= 2")
+    for name, draws in (("y_draws", y), ("yhat_draws", yh)):
+        if not np.isfinite(draws).all():
+            raise ValueError(f"{name} contains non-finite entries")
     yc = y - y.mean(axis=0)
     yhc = yh - yh.mean(axis=0)
     cov = (yc * yhc).sum(axis=0) / (y.shape[0] - 1)
     return float(cov.sum()) / sigma ** 2
 
 
+def _replicate(data, cfg, grid, y):
+    """One bootstrap refit of ``data`` with response ``y``: its in-sample
+    predictions (N, n_lambdas) and its support sizes per level."""
+    path = fit_path(Dataset(y, data.X, data.Z), cfg, lambdas=grid)
+    return (path.predict(data.X, data.Z),
+            [fit.n_nonzero_beta for fit in path.fits],
+            [fit.n_nonzero_coefficients for fit in path.fits])
+
+
 def bootstrap_df(mu, sigma: float, X, Z, lambda_grid, config=None,
                  n_boot: int = 200, seed: int = 0) -> DfEstimate:
     """Estimate df along a fixed penalty grid by the parametric bootstrap
-    y = mu + sigma * eps, refitting the path for each draw."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_boot < 2:
-        raise ValueError(f"need at least 2 bootstrap draws, got {n_boot}")
+    y = mu + sigma * eps, refitting the path for each draw.
+
+    The draws are made here in replicate order; the refits run in worker
+    processes, one per CPU (see ``path._map_paths``), with results
+    identical to refitting them in turn."""
+    _check_sigma(sigma)
+    if not isinstance(n_boot, numbers.Integral) or n_boot < 2:
+        raise ValueError(
+            f"n_boot must be an integer >= 2 bootstrap draws, got {n_boot!r}")
     mu = np.asarray(mu, dtype=float)
+    if not np.isfinite(mu).all():
+        raise ValueError("mu contains non-finite entries")
+    data = Dataset(mu, X, Z)  # checks X and Z before any refit
     grid = np.asarray(lambda_grid, dtype=float)
     cfg = config if config is not None else SolverConfig()
-    rng = np.random.default_rng(seed)
-    n = mu.shape[0]
-    ys = np.empty((n_boot, n))
-    yhats = np.empty((n_boot, n, grid.size))
-    nz_beta = np.zeros(grid.size)
-    nz_all = np.zeros(grid.size)
-    for b in range(n_boot):
-        y = mu + sigma * rng.standard_normal(n)
-        path = fit_path(Dataset(y, X, Z), cfg, lambdas=grid)
-        ys[b] = y
-        yhats[b] = path.predict(X, Z)
-        for i, fit in enumerate(path.fits):
-            nz_beta[i] += fit.n_nonzero_beta
-            nz_all[i] += fit.n_nonzero_coefficients
+    # row b is replicate b's draw, the same stream as n_boot draws of N
+    ys = mu + sigma * np.random.default_rng(seed).standard_normal(
+        (n_boot, mu.shape[0]))
+    reps = _map_paths(partial(_replicate, data, cfg, grid), ys)
+    yhats = np.array([r[0] for r in reps])
+    nz_beta = np.array([r[1] for r in reps]).sum(axis=0)
+    nz_all = np.array([r[2] for r in reps]).sum(axis=0)
     df = np.array([covariance_df(ys, yhats[:, :, i], sigma)
                    for i in range(grid.size)])
     return DfEstimate(

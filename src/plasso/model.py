@@ -148,6 +148,11 @@ class PliableFit:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alpha", alpha)
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so rebuild through the constructor
+        return (PliableFit, (self.beta0, self.theta0, self.beta,
+                             dict(self.theta_rows), self.lam, self.alpha))
+
     @classmethod
     def zeros(cls, p: int, k: int, lam: float = 0.0, alpha: float = 0.0) -> "PliableFit":
         return cls(0.0, np.zeros(k), np.zeros(p), {}, lam, alpha)

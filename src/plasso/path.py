@@ -3,6 +3,8 @@ grid below it, and warm-started fits along the grid."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,3 +175,30 @@ def fit_path(data: Dataset, config: SolverConfig | None = None,
         warm = fit
     return PathResult(lambdas=grid, fits=tuple(fits), diagnostics=tuple(diags),
                       smap=smap, alpha=cfg.alpha)
+
+
+def _map_paths(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]``, spread over forked worker processes, one
+    per CPU this process may run on, and returned in task order.
+
+    ``fn`` must be a module-level function, or a ``functools.partial`` of
+    one, so that it pickles by reference; results and exceptions come back
+    pickled.  Runs in-process for a single CPU or task, inside a daemonic
+    process (which may not have children), while other threads run (a fork
+    copies only the calling thread, so a lock another thread holds would
+    stay held in the worker), and where the platform lacks
+    ``os.sched_getaffinity`` (so, has no safe ``fork``).
+    """
+    tasks = list(tasks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    n_workers = min(len(affinity(0)), len(tasks)) if affinity else 1
+    if n_workers > 1 and threading.active_count() == 1:
+        # imported here so that a single path never loads them
+        import multiprocessing
+        if not multiprocessing.current_process().daemon:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    n_workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]

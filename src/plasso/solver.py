@@ -83,8 +83,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.alpha < 1:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.tol_obj <= 0 or self.tol_kkt <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol_obj", "tol_kkt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         if self.max_outer_iters < 1 or self.max_prox_iters < 1:
             raise ValueError("iteration caps must be >= 1")
 
@@ -117,7 +120,7 @@ class FitDiagnostics:
 def soft_threshold(x, t):
     """S(x, t) = sign(x) max(|x| - t, 0) on each entry of the array x.
     Requires t >= 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     return np.copysign(np.maximum(np.abs(x) - t, 0.0), x)
 
@@ -169,6 +172,12 @@ def prox_group(z, c, l1):
     # the theta norm after its group shrink, and the block norm before its own
     tn = g2 - c if g2 > c else 0.0
     root = math.hypot(z[0], tn)
+    # a NaN or inf in theta, in beta or in c shows in g2, root or c; while
+    # all three are finite, so is every entry of g
+    if not math.isfinite(g2 + root + c):
+        raise ProxSolveError(
+            "proximal map produced non-finite values",
+            diagnostics={"z": z, "c": c, "l1": l1})
     if root <= c:
         return np.zeros_like(z)
     scale = (root - c) / root
@@ -176,10 +185,6 @@ def prox_group(z, c, l1):
     g[0] = z[0] * scale
     b = tn * scale
     g[1:] = t1 * (b / g2) if b > 0.0 else 0.0
-    if not np.isfinite(g).all():
-        raise ProxSolveError(
-            "proximal map produced non-finite values",
-            diagnostics={"z": z, "c": c, "l1": l1})
     return g
 
 

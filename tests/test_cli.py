@@ -279,6 +279,15 @@ class TestExitCodes:
         assert rc == 1
         assert "n_folds" in capsys.readouterr().err
 
+    def test_non_finite_tolerance_is_1(self, tmp_path, capsys):
+        # used to run 1000 passes and exit 3, "no convergence"
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=20)
+        rc = main(["fit", "--data", str(data), "--z-cols", "w",
+                   "--model", str(tmp_path / "m.json"), "--tol", "nan"])
+        assert rc == 1
+        assert "tol_kkt must be positive and finite" in capsys.readouterr().err
+
     def test_index_out_of_range_is_1(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"
         write_training_file(data, seed=5)
@@ -358,6 +367,25 @@ class TestExitCodes:
                    "--model", str(tmp_path / "m.json"), "--nlambda", "3"])
         assert rc == 2
         assert "constant" in capsys.readouterr().err.lower()
+
+    def test_constant_fold_column_is_2(self, tmp_path, capsys):
+        # w is nonzero in row 2 only, which 5-fold CV at seed 0 holds out in
+        # fold 0; that fold's training rows leave w constant
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 3))
+        y = X[:, 0] + rng.standard_normal(30)
+        lines = ["y\tx0\tx1\tx2\tw"]
+        for i in range(30):
+            cells = [y[i], *X[i], 1.0 if i == 2 else 0.0]
+            lines.append("\t".join(repr(float(v)) for v in cells))
+        data = tmp_path / "d.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["cv", "--data", str(data), "--z-cols", "w",
+                   "--model", str(tmp_path / "m.json"),
+                   "--output", str(tmp_path / "o.tsv"), "--folds", "5",
+                   "--seed", "0", "--nlambda", "5"])
+        assert rc == 2
+        assert "fold 0: Z column 0 is constant" in capsys.readouterr().err
 
     def test_convergence_failure_is_3(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"

@@ -1,9 +1,12 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from plasso.cv import CvResult, k_fold_cv
 from plasso.model import Dataset, objective
 from plasso.path import fit_path
+from plasso.preprocess import StandardizationError
 
 
 def cv_data(rng, n=70, p=5, k=2):
@@ -156,3 +159,61 @@ class TestKFoldCv:
         assert res.lam_min == float(res.lambdas[res.idx_min])
         assert res.lam_1se == float(res.lambdas[res.idx_1se])
         assert res.path.n_lambdas == 10
+
+
+def cv_summary(data):
+    res = k_fold_cv(data, n_folds=4, seed=3, n_lambda=8)
+    return res.cv_mean, res.cv_se, res.idx_min, res.idx_1se
+
+
+class TestFoldWorkers:
+    """The folds are refit in forked workers when there are CPUs for them;
+    the result, or the error, must be the one the in-process loop gives."""
+
+    def test_pooled_equals_in_process(self, cpus):
+        data = cv_data(np.random.default_rng(37), n=48)
+        results = []
+        for n in (2, 1):
+            cpus(n)
+            results.append(k_fold_cv(data, n_folds=4, seed=5, n_lambda=10))
+            assert multiprocessing.active_children() == []
+        pooled, serial = results
+        assert np.array_equal(pooled.lambdas, serial.lambdas)
+        assert np.array_equal(pooled.cv_mean, serial.cv_mean)
+        assert np.array_equal(pooled.cv_se, serial.cv_se)
+        assert (pooled.idx_min, pooled.idx_1se) == (serial.idx_min,
+                                                    serial.idx_1se)
+        for a, b in zip(pooled.path.fits, serial.path.fits):
+            assert a.beta0 == b.beta0
+            assert np.array_equal(a.theta0, b.theta0)
+            assert np.array_equal(a.beta, b.beta)
+            assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("n_cpus", [2, 1])
+    def test_constant_fold_column_names_the_fold(self, cpus, n_cpus):
+        # Z is nonzero in one row only, and at seed 0 that row (2) falls in
+        # fold 0, so fold 0's training rows have a constant Z column
+        cpus(n_cpus)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 3))
+        Z = np.zeros((30, 1))
+        Z[2, 0] = 1.0
+        data = Dataset(X[:, 0] + rng.standard_normal(30), X, Z)
+        with pytest.raises(StandardizationError,
+                           match="^fold 0: Z column 0 is constant"):
+            k_fold_cv(data, n_folds=5, seed=0, n_lambda=5)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_inside_daemonic_worker(self, cpus):
+        # a daemonic process may not have children, so the folds run
+        # in-process there
+        cpus(2)
+        data = cv_data(np.random.default_rng(38), n=40)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(cv_summary, (data,))
+        outside = cv_summary(data)
+        assert np.array_equal(inside[0], outside[0])
+        assert np.array_equal(inside[1], outside[1])
+        assert inside[2:] == outside[2:]

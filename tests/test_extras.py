@@ -1,3 +1,6 @@
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from plasso.extras import (DfEstimate, HteResult, UnknownZConfig,
                            fit_unknown_z, run_hte_scenario, treatment_effect)
 from plasso.model import Dataset, DimensionError, PliableFit, predict
 from plasso.simulate import SimSpec, generate
-from plasso.solver import SolverConfig
+from plasso.solver import ConvergenceError, SolverConfig
 
 
 class TestCovarianceDf:
@@ -45,6 +48,22 @@ class TestCovarianceDf:
         with pytest.raises(ValueError):
             covariance_df(np.zeros(3), np.zeros(3), 1.0)
 
+    def test_zero_sigma_rejected(self):
+        # used to raise a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            covariance_df(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma .* got nan"):
+            covariance_df(np.eye(3), np.eye(3), np.nan)
+
+    @pytest.mark.parametrize("name", ["y_draws", "yhat_draws"])
+    def test_nan_draw_rejected(self, name):
+        draws = {"y_draws": np.eye(3), "yhat_draws": np.eye(3)}
+        draws[name][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            covariance_df(sigma=1.0, **draws)
+
 
 class TestBootstrapDf:
     def setup_method(self):
@@ -79,6 +98,83 @@ class TestBootstrapDf:
             bootstrap_df(self.mu, 0.0, self.X, self.Z, [1.0])
         with pytest.raises(ValueError, match="bootstrap"):
             bootstrap_df(self.mu, 1.0, self.X, self.Z, [1.0], n_boot=1)
+
+    def test_nan_sigma_rejected(self):
+        # used to fail inside the first refit, as "y contains non-finite"
+        with pytest.raises(ValueError, match="sigma .* got nan"):
+            bootstrap_df(self.mu, np.nan, self.X, self.Z, [1.0])
+
+    def test_fractional_n_boot_rejected(self):
+        # used to raise numpy's TypeError from np.empty
+        with pytest.raises(ValueError, match="n_boot .* got 2.5"):
+            bootstrap_df(self.mu, 1.0, self.X, self.Z, [1.0], n_boot=2.5)
+
+    def test_nan_mu_rejected(self):
+        mu = self.mu.copy()
+        mu[3] = np.nan
+        with pytest.raises(ValueError, match="mu contains non-finite"):
+            bootstrap_df(mu, 1.0, self.X, self.Z, [1.0])
+
+
+class TestBootstrapWorkers:
+    """The refits run in forked workers when there are CPUs for them; the
+    result, or the error, must be the one the in-process loop gives."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(47)
+        self.X = rng.standard_normal((40, 4))
+        self.Z = rng.standard_normal((40, 2))
+        self.mu = 2.0 * self.X[:, 0] + self.X[:, 0] * self.Z[:, 0]
+
+    def boot(self, config=None):
+        return bootstrap_df(self.mu, 1.0, self.X, self.Z, [1.0, 0.3, 0.05],
+                            config, n_boot=5, seed=2)
+
+    def test_pooled_equals_in_process(self, cpus):
+        cpus(2)
+        pooled = self.boot()
+        assert multiprocessing.active_children() == []
+        cpus(1)
+        serial = self.boot()
+        for field in ("lambdas", "df_cov", "n_nonzero_beta", "n_nonzero_all"):
+            assert np.array_equal(getattr(pooled, field),
+                                  getattr(serial, field)), field
+        assert pooled.bootstrap_reps == serial.bootstrap_reps == 5
+
+    def test_in_process_while_other_threads_run(self, cpus, monkeypatch):
+        # a fork copies only the calling thread, so a lock another thread
+        # holds would stay held in the worker: no pool is made then
+        cpus(2)
+        pooled = self.boot()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made while another thread ran")
+
+        with concurrent.futures.ThreadPoolExecutor(1) as threads:
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                no_pool)
+            in_thread = threads.submit(self.boot).result()
+        assert np.array_equal(in_thread.df_cov, pooled.df_cov)
+        assert np.array_equal(in_thread.n_nonzero_all, pooled.n_nonzero_all)
+
+    def test_worker_convergence_error_reaches_caller(self, cpus):
+        cfg = SolverConfig(max_outer_iters=1)
+        errors = []
+        for n in (2, 1):
+            cpus(n)
+            with pytest.raises(ConvergenceError,
+                               match=r"lambda\[0\]=1: no convergence") as err:
+                self.boot(cfg)
+            assert multiprocessing.active_children() == []
+            errors.append(err.value)
+        pooled, serial = errors
+        assert str(pooled) == str(serial)
+        assert isinstance(pooled.fit, PliableFit)
+        assert pooled.fit.beta0 == serial.fit.beta0
+        assert np.array_equal(pooled.fit.beta, serial.fit.beta)
+        assert np.array_equal(pooled.fit.theta, serial.fit.theta)
+        assert pooled.kkt.max_violation == serial.kkt.max_violation > 1e-4
+        assert pooled.kkt.worst_group == serial.kkt.worst_group
 
 
 class TestTreatmentEffect:

@@ -58,6 +58,10 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="threshold"):
             soft_threshold(1.0, -0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+            soft_threshold(np.array([1.0, -2.0]), np.nan)
+
 
 class TestProxGroup:
     def test_matches_bisection_oracle(self):
@@ -135,6 +139,28 @@ class TestProxGroup:
         diag = err.value.diagnostics
         assert diag["z"].tolist() == z.tolist()
         assert (diag["c"], diag["l1"]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("z", [[1.0, np.nan, 2.0], [0.1, np.nan],
+                                   [np.nan, 1.0, 2.0], [np.inf, 0.0]])
+    def test_non_finite_input_raises(self, z):
+        # a NaN theta entry used to fail `g2 > c` and come out as 0, and with
+        # a small beta pull the whole block as zeros
+        with pytest.raises(ProxSolveError, match="non-finite"):
+            prox_group(np.array(z), 0.5, 0.0)
+
+    def test_nan_l1_rejected(self):
+        # the theta soft-threshold rejects it before any norm is formed
+        with pytest.raises(ValueError, match="threshold"):
+            prox_group(np.array([1.0, 1.0, 2.0]), 0.5, np.nan)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["tol_obj", "tol_kkt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and "
+                                             "finite"):
+            SolverConfig(**{field: value})
 
 
 class TestSingleBlockOps:
