@@ -21,7 +21,7 @@ from .extras import bootstrap_df, fit_unknown_z, run_hte_scenario, UnknownZConfi
 from .io import (DataFormatError, load_model, read_delimited, save_model,
                  split_columns, write_table)
 from .model import Dataset, DimensionError
-from .path import fit_path
+from .path import _check_min_ratio, fit_path
 from .preprocess import StandardizationError
 from .simulate import SPEC_NAMES, SimSpec, generate
 from .solver import ConvergenceError, SolverConfig
@@ -190,11 +190,12 @@ def cmd_df(args, invocation):
 
 
 def cmd_unknownz(args, invocation):
-    names, mat = read_delimited(args.data)
-    y, X, _, _ = split_columns(names, mat, y_col=args.y_col)
+    # the settings are checked before the data is read
     cfg = UnknownZConfig(n_cycles=args.cycles, lambda2=args.lambda2,
                          lam=args.lam, cv_folds=args.folds,
                          n_lambda=args.nlambda, seed=args.seed)
+    names, mat = read_delimited(args.data)
+    y, X, _, _ = split_columns(names, mat, y_col=args.y_col)
     res = fit_unknown_z(Dataset(y, X, None), cfg, SolverConfig(alpha=args.alpha))
     comments = [f"lambda\t{res.lam!r}", f"lambda2\t{res.lambda2!r}"]
     comments += [f"objective\t{label}\t{value!r}"
@@ -236,10 +237,18 @@ def _add_data_flags(p, with_z=True):
         g.add_argument("--z-file", help="separate file of modifier columns")
 
 
+def _min_ratio(text):
+    """--lambda-min-ratio, checked while parsing so the error names the flag."""
+    try:
+        return _check_min_ratio(text, "the ratio")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_solver_flags(p):
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--nlambda", type=int, default=50)
-    p.add_argument("--lambda-min-ratio", type=float, default=None)
+    p.add_argument("--lambda-min-ratio", type=_min_ratio, default=None)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="optimality (subgradient) tolerance")

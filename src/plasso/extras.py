@@ -12,9 +12,9 @@ from functools import partial
 import numpy as np
 
 from .cv import k_fold_cv
-from .model import Dataset, DimensionError, PliableFit, predict
+from .model import Dataset, DimensionError, PliableFit, _check_cells, predict
 from .preprocess import StandardizationMap, standardize
-from .path import _map_paths, fit_path
+from .path import _check_grid, _map_paths, fit_path
 from .simulate import SimSpec, generate
 from .solver import SolverConfig, fit_single_lambda
 
@@ -94,7 +94,7 @@ def bootstrap_df(mu, sigma: float, X, Z, lambda_grid, config=None,
     if not np.isfinite(mu).all():
         raise ValueError("mu contains non-finite entries")
     data = Dataset(mu, X, Z)  # checks X and Z before any refit
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = _check_grid(lambda_grid, "lambda_grid")
     cfg = config if config is not None else SolverConfig()
     # row b is replicate b's draw, the same stream as n_boot draws of N
     ys = mu + sigma * np.random.default_rng(seed).standard_normal(
@@ -131,6 +131,7 @@ def treatment_effect(fit: PliableFit, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != fit.n_predictors:
         raise DimensionError(
             f"X has shape {X.shape}, fit expects (n, {fit.n_predictors})")
+    _check_cells("X", X)
     tau = np.full(X.shape[0], float(fit.theta0[0]))
     for j, row in fit.theta_rows.items():
         tau += X[:, j] * row[0]
@@ -204,6 +205,11 @@ class UnknownZConfig:
     def __post_init__(self):
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
+        for name in ("lam", "lambda2"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)

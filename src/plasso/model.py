@@ -99,6 +99,16 @@ class Dataset:
         return self.Z.shape[1]
 
 
+def _check_penalty(lam, alpha) -> tuple:
+    """(lam, alpha) as floats, with lam >= 0 and finite and alpha in [0, 1)."""
+    lam, alpha = float(lam), float(alpha)
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
+    if not 0 <= alpha < 1:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    return lam, alpha
+
+
 @dataclass(frozen=True)
 class PliableFit:
     """Coefficients of one fitted model.
@@ -127,12 +137,7 @@ class PliableFit:
         beta0 = float(self.beta0)
         if not np.isfinite(beta0):
             raise ValueError("beta0 is not finite")
-        lam = float(self.lam)
-        alpha = float(self.alpha)
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ValueError(f"lam must be >= 0, got {lam}")
-        if not 0 <= alpha < 1:
-            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        lam, alpha = _check_penalty(self.lam, self.alpha)
         rows = {}
         for j, row in dict(self.theta_rows).items():
             j = int(j)
@@ -223,12 +228,17 @@ def _as_xz(fit: PliableFit, X, Z):
             f"Z has {Z.shape[1]} columns, fit expects {fit.n_modifiers}")
     if Z.shape[0] != X.shape[0]:
         raise DimensionError(f"Z has {Z.shape[0]} rows, X has {X.shape[0]}")
-    for name, arr in (("X", X), ("Z", Z)):
-        if not np.isfinite(arr).all():
-            row, col = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"{name} has a non-finite value {arr[row, col]} "
-                             f"at row {row}, column {col}")
+    _check_cells("X", X)
+    _check_cells("Z", Z)
     return X, Z
+
+
+def _check_cells(name, arr):
+    """Raise ValueError naming the first non-finite cell of the 2-d ``arr``."""
+    if not np.isfinite(arr).all():
+        row, col = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name} has a non-finite value {arr[row, col]} "
+                         f"at row {row}, column {col}")
 
 
 def predict(fit: PliableFit, X, Z=None) -> np.ndarray:
@@ -272,12 +282,8 @@ def objective(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> PenaltyVa
     with the intercepts unpenalized.  ``lam``/``alpha`` default to the values
     stored on the fit.
     """
-    lam = fit.lam if lam is None else float(lam)
-    alpha = fit.alpha if alpha is None else float(alpha)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    lam, alpha = _check_penalty(fit.lam if lam is None else lam,
+                                fit.alpha if alpha is None else alpha)
     resid = data.y - predict(fit, data.X, data.Z)
     loss = float(resid @ resid) / (2.0 * data.n_samples)
     group, l1 = _penalty_sums(fit.beta, fit.theta)

@@ -3,6 +3,7 @@ grid below it, and warm-started fits along the grid."""
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -123,9 +124,33 @@ def default_lambda_min_ratio(n: int, p: int, k: int) -> float:
     return 0.01 if n > p * (k + 1) else 0.05
 
 
+def _check_min_ratio(value, name):
+    """``value`` as a float, checked to lie in (0, 1)."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
+def _check_grid(values, name):
+    """``values`` as a float array, checked to be a penalty grid: 1-d,
+    nonempty, finite, >= 0 and strictly decreasing."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError(f"{name} must be a nonempty 1-d sequence")
+    if not (np.isfinite(grid).all() and grid.min() >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0")
+    if not np.all(np.diff(grid) < 0):
+        raise ValueError(f"{name} must be strictly decreasing")
+    return grid
+
+
 def lambda_grid(lam_max: float, n_lambda: int, min_ratio: float) -> np.ndarray:
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
+    if not math.isfinite(lam_max):
+        raise ValueError(f"lam_max must be finite, got {lam_max}")
+    _check_min_ratio(min_ratio, "min_ratio")
     if lam_max <= 0:
         return np.zeros(1)
     if n_lambda == 1:
@@ -145,14 +170,11 @@ def fit_path(data: Dataset, config: SolverConfig | None = None,
     if lambdas is None:
         ratio = (default_lambda_min_ratio(data.n_samples, data.n_predictors,
                                           data.n_modifiers)
-                 if lambda_min_ratio is None else float(lambda_min_ratio))
+                 if lambda_min_ratio is None
+                 else _check_min_ratio(lambda_min_ratio, "lambda_min_ratio"))
         grid = lambda_grid(lambda_max(std, cfg.alpha), n_lambda, ratio)
     else:
-        grid = np.asarray(lambdas, dtype=float)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValueError("lambdas must be a nonempty 1-d sequence")
-        if grid.size > 1 and not np.all(np.diff(grid) < 0):
-            raise ValueError("lambdas must be strictly decreasing")
+        grid = _check_grid(lambdas, "lambdas")
     ws = Workspace(std)
     fits = []
     diags = []

@@ -6,12 +6,14 @@ Each predictor j owns a block (beta_j, theta_j) penalized by
     + alpha lam ||theta_j||_1 .
 
 A block visit tries, in order: a cheap certificate that the whole block is
-zero, a soft-threshold update for beta_j with theta_j pinned at zero, and a
-proximal gradient loop on the joint block.  With a single modifier (K = 1)
-one exact block solve replaces the three moves, so no prox iteration runs
-and ``n_prox_capped`` is always 0.  Intercepts (beta0, theta0) are
-unpenalized and refreshed by least squares on (1, Z) at the start of every
-pass.  Data is assumed standardized (see preprocess); nothing here rescales.
+zero, a soft-threshold update for beta_j with theta_j pinned at zero, an
+exact solve of the joint block on the support and signs of its current
+theta row (when it has one and the group penalty is positive), and, when
+that solve cannot certify its result, a proximal gradient loop on the joint
+block.  With a single modifier (K = 1) one exact block solve replaces all
+of these, so no prox iteration runs and ``n_prox_capped`` is always 0.
+Intercepts (beta0, theta0) are unpenalized and refreshed by least squares
+on (1, Z) at the start of every pass.  Data is assumed standardized (see preprocess); nothing here rescales.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, PliableFit, _penalty_sums, interaction_block, predict
+from .model import (Dataset, PliableFit, _check_penalty, _penalty_sums,
+                    interaction_block, predict)
 
 __all__ = [
     "SolverConfig",
@@ -60,9 +63,11 @@ class SolverConfig:
 
     ``tol_obj`` bounds the relative objective change over a full pass and
     ``tol_kkt`` the largest subgradient violation; both must hold to declare
-    convergence.  ``screen`` toggles the zero-block certificate.  The joint
-    block loop returns a certified fixed point of the block's prox-gradient
-    map or, cut at ``max_prox_iters`` steps and counted in
+    convergence.  ``screen`` toggles the zero-block certificate.
+    ``max_prox_iters`` bounds only the joint-block loop, the fallback of
+    the exact solve on the warm theta support (which has its own small
+    Newton cap).  The loop returns a certified fixed point of the block's
+    prox-gradient map or, cut at ``max_prox_iters`` steps and counted in
     ``n_prox_capped``, the lower of its last iterate and its start.  At K = 1
     the exact block solve replaces both the per-block certificate and the
     loop, so only the screening sweep of a full pass reads ``screen`` and
@@ -194,8 +199,9 @@ def prox_group(z, c, l1):
 
 class Workspace:
     """Per-dataset caches reused across a path: the joint-move blocks of
-    groups that take one (of every visited group when K = 1), column norms,
-    and the intercept projector."""
+    groups that take one (of every visited group when K = 1), the
+    eigenbases of the exact joint solve per group and theta support, column
+    norms, and the intercept projector."""
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -206,6 +212,7 @@ class Workspace:
         # with the minimum-norm intercepts instead of failing mid-fit
         self._a_pinv = np.linalg.pinv(A)
         self._block: dict[int, tuple] = {}
+        self._support: dict[tuple, tuple] = {}
 
     def block(self, j: int):
         """(D_j, G_j, 1/L_j) with D_j = [X_j, W_j], G_j = D_j'D_j / N and L_j
@@ -225,6 +232,25 @@ class Workspace:
                 step = 1.0 / lip if lip > 0 else 1.0
             got = (d, gram, step)
             self._block[j] = got
+        return got
+
+    def support(self, j: int, row):
+        """(pos, off, V, lam, h) for the support S (the nonzero entries) of
+        group j's theta row ``row``: the positions in the stacked block of
+        S and of the other theta entries, the eigenbasis
+        G_SS = V diag(lam) V' of the block Gram matrix on S, and
+        h = V'G_S0, the last two as plain floats."""
+        mask = row != 0.0
+        key = (j, mask.tobytes())
+        got = self._support.get(key)
+        if got is None:
+            gram = self.block(j)[1]
+            pos = np.flatnonzero(mask) + 1
+            off = np.flatnonzero(~mask) + 1
+            lam, vec = np.linalg.eigh(gram[np.ix_(pos, pos)])
+            got = (pos, off, vec, np.maximum(lam, 0.0).tolist(),
+                   (gram[pos, 0] @ vec).tolist())
+            self._support[key] = got
         return got
 
     def solve_intercepts(self, target):
@@ -287,6 +313,107 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
     if _block_value(gram, c, g, rho, mu) > _block_value(gram, c, g0, rho, mu):
         g = np.array(g0, dtype=float)
     return g, False
+
+
+# Newton steps the exact joint solve takes before it leaves the block to the
+# prox loop, and the largest log-norm residual it accepts
+_NEWTON_CAP = 8
+_NEWTON_TOL = 1e-12
+
+
+def _solve_on_support(gram, c, g0, rho, mu, support):
+    """Exact minimizer of the joint block objective if its theta row has
+    the support S and the signs s of g0's, else None; ``support`` is
+    ``Workspace.support`` of g0's theta row and rho > 0.
+
+    Off S theta is zero and on S the l1 term is linear, so the block's
+    stationarity conditions on T = {0} u S read
+
+        (G_TT + u I + v P_S) g_T = c_T - mu (0, s),
+        u = rho / ||g||_2,   v = rho / ||theta_S||_2,
+
+    with P_S the projection on S (Friedman, Hastie and Tibshirani 2010, for
+    one group).  In the eigenbasis G_SS = V diag(lam) V', theta_S = V phi
+    with phi_i = (w_i - h_i b) / d_i, d_i = lam_i + u + v, w = V'(c_S - mu s)
+    and h = V'G_S0, and b comes from the scalar Schur complement
+
+        b = (c_0 - sum_i h_i w_i / d_i) / (G_00 + u - sum_i h_i^2 / d_i).
+
+    Newton on the two norm equations log(u ||g|| / rho) = 0 and
+    log(v ||theta|| / rho) = 0 in (log u, log v), started from g0's own u
+    and v, takes O(|S|) float arithmetic per step.  The block is returned
+    only if Newton converges within ``_NEWTON_CAP`` steps, every theta entry
+    on S is nonzero with its sign in s, and every entry off S has
+    |c_k - (G g)_k| <= mu.  Those are all the block's subgradient
+    conditions, so by convexity the result is the block minimizer."""
+    pos, off, vec, lam, h = support
+    th0 = g0[pos]
+    s = np.sign(th0)
+    tn = math.sqrt(th0 @ th0)
+    log_rho = math.log(rho)
+    # the iterate (x, y) = (log u, log v)
+    x = log_rho - math.log(math.hypot(g0.item(0), tn))
+    y = log_rho - math.log(tn)
+    c0 = c.item(0)
+    g00 = gram.item(0, 0)
+    terms = list(zip(lam, h, ((c[pos] - mu * s) @ vec).tolist()))
+    for _ in range(_NEWTON_CAP):
+        # keeps u and v normal positive floats; also false for a NaN step
+        if not (abs(x) < 700.0 and abs(y) < 700.0):
+            return None
+        u, v = math.exp(x), math.exp(y)
+        uv = u + v
+        num, den = c0, g00 + u
+        inv = []
+        for lam_i, h_i, w_i in terms:
+            e = 1.0 / (lam_i + uv)
+            num -= h_i * w_i * e
+            den -= h_i * h_i * e
+            inv.append(e)
+        # den >= u > 0 in exact arithmetic, so rounding has swamped it here
+        if not den > 0.0:
+            return None
+        b = num / den
+        phi = []
+        m = p_sum = nt2 = 0.0
+        for (_, h_i, w_i), e in zip(terms, inv):
+            f = (w_i - h_i * b) * e
+            phi.append(f)
+            m += h_i * e * f
+            p_sum += e * f * f
+            nt2 += f * f
+        if not nt2 > 0.0:
+            return None
+        ng2 = b * b + nt2
+        f1 = x + 0.5 * math.log(ng2) - log_rho
+        f2 = y + 0.5 * math.log(nt2) - log_rho
+        if abs(f1) <= _NEWTON_TOL and abs(f2) <= _NEWTON_TOL:
+            break
+        # the Jacobian of (f1, f2) in (log u, log v), from db/du = (m - b)/den,
+        # db/dv = m/den and d phi_i = -(h_i db + phi_i) / d_i (du + dv)
+        b_u, b_v = (m - b) / den, m / den
+        nt2_u = -2.0 * (b_u * m + p_sum)
+        nt2_v = -2.0 * (b_v * m + p_sum)
+        j11 = 1.0 + 0.5 * u * (2.0 * b * b_u + nt2_u) / ng2
+        j12 = 0.5 * v * (2.0 * b * b_v + nt2_v) / ng2
+        j21 = 0.5 * u * nt2_u / nt2
+        j22 = 1.0 + 0.5 * v * nt2_v / nt2
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            return None
+        x -= (f1 * j22 - f2 * j12) / det
+        y -= (f2 * j11 - f1 * j21) / det
+    else:
+        return None
+    theta = vec @ np.array(phi)
+    if not (theta * s).min() > 0.0:
+        return None
+    g = np.zeros_like(c)
+    g[0] = b
+    g[pos] = theta
+    if off.size and not np.abs(c[off] - gram[off] @ g).max() <= mu:
+        return None
+    return g
 
 
 def _k1_joint(e1, e2, cs, sn, c0, c1, rho):
@@ -439,8 +566,8 @@ def _kkt_arrays(data: Dataset, r, beta, theta, lam, alpha) -> KktReport:
 
 def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport:
     """Subgradient residuals of ``fit`` on ``data`` at (lam, alpha)."""
-    lam = fit.lam if lam is None else float(lam)
-    alpha = fit.alpha if alpha is None else float(alpha)
+    lam, alpha = _check_penalty(fit.lam if lam is None else lam,
+                                fit.alpha if alpha is None else alpha)
     r = data.y - predict(fit, data.X, data.Z)
     return _kkt_arrays(data, r, fit.beta, fit.theta, lam, alpha)
 
@@ -535,9 +662,15 @@ class _Fitter:
                 return
         d, gram, t = self.ws.block(j)
         g0 = np.concatenate(([b_old], self.theta[j]))
-        g, stopped = _block_minimize(gram, d.T @ r_mj / n, g0, self.rho,
-                                     self.mu, t, self.cfg)
-        self.n_prox_capped += not stopped
+        c = d.T @ r_mj / n
+        g = None
+        if had_row and self.rho > 0.0:
+            g = _solve_on_support(gram, c, g0, self.rho, self.mu,
+                                  self.ws.support(j, self.theta[j]))
+        if g is None:
+            g, stopped = _block_minimize(gram, c, g0, self.rho, self.mu, t,
+                                         self.cfg)
+            self.n_prox_capped += not stopped
         row_new = g[1:]
         has_row = bool(row_new.any())
         self.beta[j] = g[0]
@@ -633,10 +766,8 @@ def fit_single_lambda(data: Dataset, lam: float, config: SolverConfig | None = N
     workspace : optional Workspace built on ``data``, reused across levels.
     return_diagnostics : also return pass counts and the final KKT report.
     """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     cfg = config if config is not None else SolverConfig()
+    lam, _ = _check_penalty(lam, cfg.alpha)
     ws = workspace if workspace is not None else Workspace(data)
     if ws.data is not data:
         raise ValueError("workspace was built for a different dataset")

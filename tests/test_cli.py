@@ -288,6 +288,26 @@ class TestExitCodes:
         assert rc == 1
         assert "tol_kkt must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "0", "1", "abc"])
+    def test_bad_lambda_min_ratio_is_1(self, tmp_path, capsys, ratio):
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=20)
+        rc = main(["fit", "--data", str(data), "--z-cols", "w",
+                   "--model", str(tmp_path / "m.json"),
+                   "--lambda-min-ratio", ratio])
+        assert rc == 1
+        assert "argument --lambda-min-ratio" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda2", "--lam"])
+    def test_negative_unknownz_penalty_is_1(self, tmp_path, capsys, flag):
+        # the settings are checked before the data file is opened
+        rc = main(["unknownz", "--data", str(tmp_path / "missing.tsv"),
+                   "--output", str(tmp_path / "o.tsv"), flag, "-1"])
+        assert rc == 1
+        name = flag.lstrip("-")
+        assert f"{name} must be >= 0 and finite" in capsys.readouterr().err
+
     def test_index_out_of_range_is_1(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"
         write_training_file(data, seed=5)

@@ -115,6 +115,24 @@ class TestBootstrapDf:
         with pytest.raises(ValueError, match="mu contains non-finite"):
             bootstrap_df(mu, 1.0, self.X, self.Z, [1.0])
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("grid, message", [
+        ([0.1, 0.5], "lambda_grid must be strictly decreasing"),
+        ([0.5, 0.5], "lambda_grid must be strictly decreasing"),
+        ([], "lambda_grid must be a nonempty 1-d"),
+        ([[0.5, 0.1]], "lambda_grid must be a nonempty 1-d"),
+        ([0.5, np.nan], "lambda_grid must be finite and >= 0"),
+        ([np.inf, 0.5], "lambda_grid must be finite and >= 0"),
+        ([0.5, -0.1], "lambda_grid must be finite and >= 0"),
+    ])
+    def test_bad_grid_rejected_in_caller(self, cpus, n, grid, message):
+        # used to fail inside every refit with fit_path's "lambdas must be
+        # strictly decreasing"; now the caller names its own argument
+        cpus(n)
+        with pytest.raises(ValueError, match=message):
+            bootstrap_df(self.mu, 1.0, self.X, self.Z, grid, n_boot=2)
+        assert not multiprocessing.active_children()
+
 
 class TestBootstrapWorkers:
     """The refits run in forked workers when there are CPUs for them; the
@@ -201,6 +219,18 @@ class TestTreatmentEffect:
         with pytest.raises(DimensionError, match="shape"):
             treatment_effect(PliableFit.zeros(3, 1), np.zeros((4, 2)))
 
+    def test_non_finite_x_rejected(self):
+        # an all-NaN X used to give finite effects: theta0 alone, since the
+        # fit has no theta row
+        fit = PliableFit.zeros(3, 1)
+        with pytest.raises(ValueError, match="X has a non-finite value nan "
+                                             "at row 0, column 0"):
+            treatment_effect(fit, np.full((4, 3), np.nan))
+        X = np.zeros((4, 3))
+        X[2, 1] = np.inf
+        with pytest.raises(ValueError, match="X .* at row 2, column 1"):
+            treatment_effect(fit, X)
+
 
 class TestRunHteScenario:
     def test_result_structure(self):
@@ -233,6 +263,14 @@ class TestUnknownZConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_cycles"):
             UnknownZConfig(n_cycles=0)
+
+    @pytest.mark.parametrize("name", ["lam", "lambda2"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_penalties_nonnegative_and_finite(self, name, value):
+        # UnknownZConfig(lambda2=-1) used to be accepted
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+            UnknownZConfig(**{name: value})
+        assert getattr(UnknownZConfig(**{name: 0.0}), name) == 0.0
 
     def test_rejects_data_with_modifiers(self):
         d = Dataset(np.zeros(5), np.ones((5, 2)), np.ones((5, 1)))

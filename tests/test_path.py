@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plasso.cv import k_fold_cv
 from plasso.model import Dataset, predict
 from plasso.path import (PathResult, default_lambda_min_ratio, fit_path,
                          lambda_grid, lambda_max)
@@ -95,6 +96,18 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             lambda_grid(1.0, 0, 0.01)
 
+    @pytest.mark.parametrize("lam_max", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lambda_max(self, lam_max):
+        # lambda_grid(nan, 5, 0.01) used to return NaNs
+        with pytest.raises(ValueError, match="lam_max must be finite"):
+            lambda_grid(lam_max, 5, 0.01)
+
+    @pytest.mark.parametrize("ratio", [np.nan, 0.0, 1.0, -0.5, 2.0, np.inf])
+    def test_rejects_ratio_outside_unit_interval(self, ratio):
+        # lambda_grid(1, 5, nan) used to return NaNs
+        with pytest.raises(ValueError, match=r"min_ratio must lie in \(0, 1\)"):
+            lambda_grid(1.0, 5, ratio)
+
     def test_default_min_ratio(self):
         assert default_lambda_min_ratio(1000, 10, 4) == 0.01
         assert default_lambda_min_ratio(50, 10, 4) == 0.05
@@ -131,6 +144,16 @@ class TestFitPath:
             fit_path(data, lambdas=[0.1, 0.2])
         with pytest.raises(ValueError, match="nonempty"):
             fit_path(data, lambdas=[])
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            fit_path(data, lambdas=[0.2, np.nan])
+
+    @pytest.mark.parametrize("ratio", [np.nan, 0.0, 1.0])
+    def test_bad_min_ratio_names_the_argument(self, ratio):
+        data = signal_data(np.random.default_rng(0), n=30)
+        with pytest.raises(ValueError, match="lambda_min_ratio must lie in"):
+            fit_path(data, n_lambda=5, lambda_min_ratio=ratio)
+        with pytest.raises(ValueError, match="lambda_min_ratio must lie in"):
+            k_fold_cv(data, n_folds=3, n_lambda=5, lambda_min_ratio=ratio)
 
     def test_custom_grid_used_verbatim(self):
         data = signal_data(np.random.default_rng(1), n=40)

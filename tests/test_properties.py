@@ -18,8 +18,8 @@ from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
 from plasso.solver import (SolverConfig, Workspace, _block_minimize,
-                           _solve_k1, check_kkt, fit_single_lambda,
-                           prox_group)
+                           _block_value, _solve_k1, _solve_on_support,
+                           check_kkt, fit_single_lambda, prox_group)
 
 from oracles import (block_residual_oracle, kkt_per_group_oracle,
                      satisfies_hierarchy, zero_threshold_oracle)
@@ -305,3 +305,75 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
                                 cfg)
     assert (_k1_objective(gram, c, g, rho, mu)
             <= _k1_objective(gram, c, g_loop, rho, mu) + 1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       k=st.integers(2, 6),
+       design=st.sampled_from(("gaussian", "singular", "collinear")),
+       warm=st.sampled_from(("exact", "right", "extra", "missing", "flip")),
+       lam=st.floats(1e-3, 2.0),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_exact_joint_solve_is_certified_or_declines(seed, n, k, design, warm,
+                                                    lam, alpha):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    Z = rng.standard_normal((n, k))
+    if design == "singular":
+        # z_0 constant on x's support: x o z_0 = z_0[0] x
+        Z[:, 0] = (rng.random(n) < 0.5).astype(float)
+        x = np.where(Z[:, 0] == Z[0, 0], x, 0.0)
+        assume(np.any(x != 0.0))
+    elif design == "collinear":
+        Z[:, 1] = Z[:, 0]  # two equal interaction columns
+    rho, mu = (1.0 - alpha) * lam, alpha * lam
+    ws = Workspace(Dataset(x, x[:, None], Z))
+    _, gram, t = ws.block(0)
+    # c from the subgradient conditions of a chosen minimizer g_star with
+    # theta support S and signs s, with 1% slack off S
+    on = rng.random(k) < 0.6
+    on[rng.integers(k)] = True
+    s = np.where(on, rng.choice([-1.0, 1.0], k), 0.0)
+    g_star = np.concatenate(([rng.choice([0.0, 1.0]) * rng.normal()],
+                             s * rng.uniform(0.1, 2.0, k)))
+    th = g_star[1:]
+    sub = rho * g_star / np.linalg.norm(g_star)
+    sub[1:] += np.where(on, rho * th / np.linalg.norm(th) + mu * s,
+                        mu * rng.uniform(-0.99, 0.99, k))
+    c = gram @ g_star + sub
+
+    # the warm start: its theta support is the minimizer's or a wrong one
+    g0 = np.concatenate(([rng.normal()], s * rng.uniform(0.05, 3.0, k)))
+    if warm == "exact":
+        g0 = g_star.copy()
+    elif warm == "extra" and not on.all():
+        g0[1 + rng.choice(np.flatnonzero(~on))] = rng.choice([-1.0, 1.0])
+    elif warm == "missing" and on.sum() > 1:
+        g0[1 + rng.choice(np.flatnonzero(on))] = 0.0
+    elif warm != "right":
+        warm = "flip"
+        g0[1 + rng.choice(np.flatnonzero(on))] *= -1.0
+    right = warm in ("exact", "right")
+
+    g = _solve_on_support(gram, c, g0, rho, mu, ws.support(0, g0[1:]))
+    if g is None:
+        # an exact warm start on a nonsingular block must succeed, unless
+        # mu is too small for the rounding of the pulls off S
+        assert not (warm == "exact" and (mu >= 1e-8 or on.all())
+                    and design == "gaussian" and n > k + 1)
+        return
+    # a block returned is certified: it meets every subgradient condition
+    # of the block, so it is the minimizer
+    pull = c - gram @ g
+    assert block_residual_oracle(pull[0], pull[1:], g[0], g[1:], rho,
+                                 mu) <= 1e-10
+    # so its support is the chosen one, unless mu is so small that the 1%
+    # slack off S drowns in rounding: then a theta entry off S may come back
+    # as a rounding-size value of either sign
+    assert right or mu < 1e-8
+
+    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
+    g_loop, _ = _block_minimize(gram, c, g0, rho, mu, t, cfg)
+    value = _block_value(gram, c, g_loop, rho, mu)
+    assert _block_value(gram, c, g, rho, mu) <= value + 1e-12 * max(1.0,
+                                                                    abs(value))

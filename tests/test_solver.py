@@ -269,6 +269,22 @@ class TestFitSingleLambda:
         with pytest.raises(ValueError):
             fit_single_lambda(data, np.inf)
 
+    @pytest.mark.parametrize("lam, alpha, message", [
+        (np.nan, None, "lam must be >= 0 and finite, got nan"),
+        (np.inf, None, "lam must be >= 0 and finite, got inf"),
+        (-0.1, None, "lam must be >= 0 and finite"),
+        (None, np.nan, r"alpha must lie in \[0, 1\), got nan"),
+        (None, np.inf, r"alpha must lie in \[0, 1\), got inf"),
+    ])
+    def test_kkt_and_objective_reject_bad_penalty(self, lam, alpha, message):
+        # check_kkt(fit, data, lam=nan) used to return a NaN report
+        data = toy_data(np.random.default_rng(0), n=20)
+        fit = fit_single_lambda(data, 0.1)
+        with pytest.raises(ValueError, match=message):
+            check_kkt(fit, data, lam=lam, alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            objective(fit, data, lam=lam, alpha=alpha)
+
     def test_huge_lambda_gives_empty_fit(self):
         rng = np.random.default_rng(8)
         data = toy_data(rng, n=50)
