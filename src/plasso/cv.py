@@ -7,12 +7,13 @@ raw coordinates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _check_int
 from .path import PathResult, _map_paths, fit_path
 from .preprocess import StandardizationError
 from .solver import SolverConfig
@@ -87,12 +88,11 @@ def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
         the standard error is across folds.
     """
     cfg = config if config is not None else SolverConfig()
-    path = fit_path(data, cfg, n_lambda=n_lambda,
-                    lambda_min_ratio=lambda_min_ratio)
-    grid = path.lambdas
     if folds is None:
-        if not 2 <= n_folds <= data.n_samples:
+        if not (isinstance(n_folds, numbers.Integral)
+                and 2 <= n_folds <= data.n_samples):
             raise ValueError(f"n_folds must lie in [2, N], got {n_folds}")
+        _check_int(seed, "seed", 0)
         ids = _fold_ids(data.n_samples, n_folds, seed)
     else:
         ids = np.asarray(folds, dtype=int)
@@ -101,6 +101,9 @@ def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
     labels = np.unique(ids)
     if labels.size < 2:
         raise ValueError("need at least two folds")
+    path = fit_path(data, cfg, n_lambda=n_lambda,
+                    lambda_min_ratio=lambda_min_ratio)
+    grid = path.lambdas
     errs = np.array(_map_paths(partial(_fold_errors, data, cfg, grid, ids),
                                labels))
     cv_mean = errs.mean(axis=0)

@@ -12,7 +12,8 @@ from functools import partial
 import numpy as np
 
 from .cv import k_fold_cv
-from .model import Dataset, DimensionError, PliableFit, _check_cells, predict
+from .model import (Dataset, DimensionError, PliableFit, _check_cells,
+                    _check_int, predict)
 from .preprocess import StandardizationMap, standardize
 from .path import _check_grid, _map_paths, fit_path
 from .simulate import SimSpec, generate
@@ -90,6 +91,7 @@ def bootstrap_df(mu, sigma: float, X, Z, lambda_grid, config=None,
     if not isinstance(n_boot, numbers.Integral) or n_boot < 2:
         raise ValueError(
             f"n_boot must be an integer >= 2 bootstrap draws, got {n_boot!r}")
+    _check_int(seed, "seed", 0)
     mu = np.asarray(mu, dtype=float)
     if not np.isfinite(mu).all():
         raise ValueError("mu contains non-finite entries")
@@ -203,8 +205,10 @@ class UnknownZConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
+        _check_int(self.n_cycles, "n_cycles", 1)
+        _check_int(self.cv_folds, "cv_folds", 2)
+        _check_int(self.n_lambda, "n_lambda", 1)
+        _check_int(self.seed, "seed", 0)
         for name in ("lam", "lambda2"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0):

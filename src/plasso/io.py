@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PliableFit, predict
+from .model import PliableFit, _check_index, predict
 from .path import PathResult
 from .preprocess import StandardizationMap
 
@@ -47,6 +47,13 @@ def read_delimited(path):
     Tab or comma separated (sniffed from the header); lines starting with
     ``#`` and blank lines are skipped.  Returns ``(column_names, matrix)``.
     """
+    try:
+        return _read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file: {exc}") from None
+
+
+def _read_rows(path):
     names = None
     rows = []
     line_nos = []
@@ -263,13 +270,23 @@ _SMAP_KEYS = ("x_means", "x_scales", "z_means", "z_scales", "y_mean",
               "standardize_x", "standardize_z", "center_y")
 
 
-def _smap_from_dict(d: dict, where: str) -> StandardizationMap:
+def _smap_from_dict(d: dict, p: int, k: int, where: str) -> StandardizationMap:
+    """The standardization map: p finite means and nonzero scales for X,
+    k of each for Z, a finite ``y_mean`` and three boolean flags."""
     v = [_need(d, key, where) for key in _SMAP_KEYS]
-    try:
-        arrays = [np.asarray(a, dtype=float) for a in v[:4]]
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{where}: non-numeric means or scales") from None
-    return StandardizationMap(*arrays, *v[4:])
+    for key, values, size in zip(_SMAP_KEYS, v, (p, p, k, k)):
+        if not (isinstance(values, list) and len(values) == size
+                and all(map(_number, values))
+                and (key.endswith("means") or all(values))):
+            raise DataFormatError(
+                f"{where}: {key!r} is not a list of {size} finite "
+                f"{'numbers' if key.endswith('means') else 'nonzero numbers'}")
+    if not _number(v[4]):
+        raise DataFormatError(f"{where}: 'y_mean' is not a finite number")
+    for key, flag in zip(_SMAP_KEYS[5:], v[5:]):
+        if not isinstance(flag, bool):
+            raise DataFormatError(f"{where}: {key!r} is not true or false")
+    return StandardizationMap(*v)
 
 
 def save_model(path, result: PathResult, cv=None, invocation=None,
@@ -339,11 +356,7 @@ class LoadedModel:
             Z = np.asarray(Z, dtype=float)
         if index is None:
             index = self.default_index()
-        if not 0 <= index < self.n_lambdas:
-            raise IndexError(
-                f"index {index} is out of range: the model has "
-                f"{self.n_lambdas} penalty levels, indices 0 to "
-                f"{self.n_lambdas - 1}")
+        _check_index(index, self.n_lambdas)
         return predict(self.fits[index], X, Z)
 
 
@@ -372,11 +385,13 @@ def load_model(path) -> LoadedModel:
         if not _int_in(dim, least):
             raise DataFormatError(f"{where}: {key!r} must be an integer >= {least}")
     alpha = _need(doc, "alpha", where)
-    if not _number(alpha):
-        raise DataFormatError(f"{where}: 'alpha' is not a finite number")
+    if not (_number(alpha) and 0 <= alpha < 1):
+        raise DataFormatError(f"{where}: 'alpha' is not a number in [0, 1)")
     lambdas = _need(doc, "lambdas", where, list)
-    if not all(map(_number, lambdas)):
-        raise DataFormatError(f"{where}: 'lambdas' holds a non-finite entry")
+    if not all(_number(v) and v >= 0 for v in lambdas):
+        raise DataFormatError(
+            f"{where}: 'lambdas' holds an entry that is not a finite "
+            "number >= 0")
     fits = _need(doc, "fits", where, list)
     if len(fits) != len(lambdas):
         raise DataFormatError(
@@ -398,7 +413,7 @@ def load_model(path) -> LoadedModel:
     return LoadedModel(
         alpha=alpha, lambdas=lambdas, fits=fits,
         smap=_smap_from_dict(_need(doc, "standardization", where, dict),
-                             f"{where}: standardization"),
+                             p, k, f"{where}: standardization"),
         diagnostics=_diagnostics_from_list(
             _need(doc, "diagnostics", where, list), len(fits), where),
         x_columns=doc.get("x_columns"), z_columns=doc.get("z_columns"),

@@ -13,6 +13,7 @@ the penalty, not through these containers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -97,6 +98,20 @@ class Dataset:
     @property
     def n_modifiers(self) -> int:
         return self.Z.shape[1]
+
+
+def _check_int(value, name, low):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_index(index, n, name="index", what="penalty levels in the model"):
+    """Raise IndexError naming ``name`` unless ``index`` is an integer in
+    [0, n), where n counts ``what``: an index never counts from the end."""
+    if not (isinstance(index, numbers.Integral) and 0 <= index < n):
+        raise IndexError(f"{name} {index!r} is out of range: {n} {what}, "
+                         f"indices 0 to {n - 1}")
 
 
 def _check_penalty(lam, alpha) -> tuple:
@@ -208,6 +223,7 @@ def interaction_block(X, Z, j: int) -> np.ndarray:
     """W_j = X_j o Z: column j of X multiplied elementwise into each Z column."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    _check_index(j, X.shape[1], "j", "columns in X")
     return X[:, j, None] * Z
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, PliableFit, predict
+from .model import Dataset, PliableFit, _check_index, _check_int, predict
 from .preprocess import StandardizationMap, destandardize_fit, standardize
 from .solver import (ConvergenceError, SolverConfig, Workspace, _pulls,
                      _zero_slack, fit_single_lambda)
@@ -62,6 +62,7 @@ class PathResult:
         return self.lambdas.shape[0]
 
     def fit_raw(self, index: int) -> PliableFit:
+        _check_index(index, self.n_lambdas)
         return destandardize_fit(self.fits[index], self.smap)
 
     def predict(self, X, Z=None, index=None) -> np.ndarray:
@@ -73,6 +74,7 @@ class PathResult:
         Xs = self.smap.transform(X=X)
         Zs = self.smap.transform(Z=Z) if Z is not None else None
         if index is not None:
+            _check_index(index, self.n_lambdas)
             return predict(self.fits[index], Xs, Zs) + self.smap.y_mean
         out = np.empty((X.shape[0], self.n_lambdas))
         for i, fit in enumerate(self.fits):
@@ -146,12 +148,13 @@ def _check_grid(values, name):
 
 
 def lambda_grid(lam_max: float, n_lambda: int, min_ratio: float) -> np.ndarray:
-    if n_lambda < 1:
-        raise ValueError("n_lambda must be >= 1")
+    _check_int(n_lambda, "n_lambda", 1)
     if not math.isfinite(lam_max):
         raise ValueError(f"lam_max must be finite, got {lam_max}")
+    if lam_max < 0:
+        raise ValueError(f"lam_max must be >= 0, got {lam_max}")
     _check_min_ratio(min_ratio, "min_ratio")
-    if lam_max <= 0:
+    if lam_max == 0:
         return np.zeros(1)
     if n_lambda == 1:
         return np.array([lam_max])

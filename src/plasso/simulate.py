@@ -7,12 +7,13 @@ treatment effect or the latent-group weights) alongside the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _check_int
 
 __all__ = ["SimSpec", "SimTruth", "SimData", "SPEC_NAMES", "generate"]
 
@@ -50,6 +51,17 @@ class SimSpec:
     noise_sd: float | None = None
     indicator_x: bool = False
     z_main_effects: bool = False
+
+    def __post_init__(self):
+        # None picks the generator's default
+        for name, low in (("n_train", 1), ("p", 1), ("k", 0)):
+            if getattr(self, name) is not None:
+                _check_int(getattr(self, name), name, low)
+        _check_int(self.n_test, "n_test", 1)
+        _check_int(self.seed, "seed", 0)
+        sd = self.noise_sd
+        if sd is not None and not (math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"noise_sd must be >= 0 and finite, got {sd}")
 
     def resolved(self) -> "SimSpec":
         if self.name not in _DEFAULTS:

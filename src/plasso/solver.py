@@ -5,13 +5,17 @@ Each predictor j owns a block (beta_j, theta_j) penalized by
     (1-alpha) lam (||(beta_j, theta_j)||_2 + ||theta_j||_2)
     + alpha lam ||theta_j||_1 .
 
-A block visit tries, in order: a cheap certificate that the whole block is
-zero, a soft-threshold update for beta_j with theta_j pinned at zero, an
-exact solve of the joint block on the support and signs of its current
-theta row (when it has one and the group penalty is positive), and, when
-that solve cannot certify its result, a proximal gradient loop on the joint
-block.  With a single modifier (K = 1) one exact block solve replaces all
-of these, so no prox iteration runs and ``n_prox_capped`` is always 0.
+A visit to a group without a theta row works on its partial residual and
+tries, in order: a cheap certificate that the whole block is zero, a
+soft-threshold update for beta_j with theta_j pinned at zero, and a
+proximal gradient loop on the joint block.  A group with a theta row is
+visited in Gram form, its pull taken from the cached block Gram matrix: an
+exact solve of the joint block on the support and signs of its theta row
+goes first (when the group penalty is positive), and only when that solve
+cannot certify its result come the beta-only update and the loop; the
+residual takes one update per visit.  With a single modifier (K = 1) one
+exact block solve replaces all of these, so no prox iteration runs and
+``n_prox_capped`` is always 0.
 Intercepts (beta0, theta0) are unpenalized and refreshed by least squares
 on (1, Z) at the start of every pass.  Data is assumed standardized (see preprocess); nothing here rescales.
 """
@@ -19,12 +23,13 @@ on (1, Z) at the start of every pass.  Data is assumed standardized (see preproc
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, PliableFit, _check_penalty, _penalty_sums,
-                    interaction_block, predict)
+from .model import (Dataset, PliableFit, _check_int, _check_penalty,
+                    _penalty_sums, interaction_block, predict)
 
 __all__ = [
     "SolverConfig",
@@ -93,8 +98,8 @@ class SolverConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
-        if self.max_outer_iters < 1 or self.max_prox_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
+        _check_int(self.max_outer_iters, "max_outer_iters", 1)
+        _check_int(self.max_prox_iters, "max_prox_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,11 @@ class FitDiagnostics:
 
 def soft_threshold(x, t):
     """S(x, t) = sign(x) max(|x| - t, 0) on each entry of the array x.
-    Requires t >= 0."""
+    Requires 0 <= t < inf."""
     if not t >= 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
+    if t == math.inf:
+        raise ValueError("threshold must be finite, got inf")
     return np.copysign(np.maximum(np.abs(x) - t, 0.0), x)
 
 
@@ -169,17 +176,20 @@ def prox_group(z, c, l1):
     block), so the map is their composition from the inside out (Jenatton,
     Mairal, Obozinski and Bach 2011): soft-threshold the theta entries by
     l1, group-shrink theta by c, then group-shrink the block by c.  Theta
-    takes both shrink factors in one product.
+    takes both shrink factors in one product.  Requires 0 <= c < inf; the
+    theta soft-threshold checks l1.
     """
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be >= 0 and finite, got {c}")
     z = np.asarray(z, dtype=float)
     t1 = soft_threshold(z[1:], l1)
     g2 = math.sqrt(t1 @ t1)
     # the theta norm after its group shrink, and the block norm before its own
     tn = g2 - c if g2 > c else 0.0
     root = math.hypot(z[0], tn)
-    # a NaN or inf in theta, in beta or in c shows in g2, root or c; while
-    # all three are finite, so is every entry of g
-    if not math.isfinite(g2 + root + c):
+    # a NaN or inf in theta or in beta shows in g2 or root; while both are
+    # finite, so is every entry of g
+    if not math.isfinite(g2 + root):
         raise ProxSolveError(
             "proximal map produced non-finite values",
             diagnostics={"z": z, "c": c, "l1": l1})
@@ -319,6 +329,7 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
 # prox loop, and the largest log-norm residual it accepts
 _NEWTON_CAP = 8
 _NEWTON_TOL = 1e-12
+_MIN_NORMAL = sys.float_info.min
 
 
 def _solve_on_support(gram, c, g0, rho, mu, support):
@@ -342,7 +353,8 @@ def _solve_on_support(gram, c, g0, rho, mu, support):
     Newton on the two norm equations log(u ||g|| / rho) = 0 and
     log(v ||theta|| / rho) = 0 in (log u, log v), started from g0's own u
     and v, takes O(|S|) float arithmetic per step.  The block is returned
-    only if Newton converges within ``_NEWTON_CAP`` steps, every theta entry
+    only if Newton converges within ``_NEWTON_CAP`` steps with ||theta||^2
+    a normal float (so both equations keep their precision), every theta entry
     on S is nonzero with its sign in s, and every entry off S has
     |c_k - (G g)_k| <= mu.  Those are all the block's subgradient
     conditions, so by convexity the result is the block minimizer."""
@@ -382,7 +394,10 @@ def _solve_on_support(gram, c, g0, rho, mu, support):
             m += h_i * e * f
             p_sum += e * f * f
             nt2 += f * f
-        if not nt2 > 0.0:
+        # below the normal range the squares, and so both norm equations,
+        # lose their precision; a minimizer at the zero block on this
+        # support drives Newton there
+        if not nt2 >= _MIN_NORMAL:
             return None
         ng2 = b * b + nt2
         f1 = x + 0.5 * math.log(ng2) - log_rho
@@ -631,21 +646,22 @@ class _Fitter:
         return np.flatnonzero(self._active() | fail).tolist()
 
     def _update_group(self, j):
+        """One K != 1 block visit.  A group with a theta row goes to the
+        Gram-form visit (``_update_row``).  Any other group works on its
+        partial residual r_{-j} = r + x_j b_j and tries, in order: the zero
+        certificate (inactive groups only), the beta-only soft-threshold
+        (these two when ``screen`` is on), and the joint prox loop."""
+        if self.rows[j]:
+            self._update_row(j)
+            return
         data = self.data
         n = data.n_samples
         x_j = data.X[:, j]
         b_old = self.beta[j]
-        had_row = self.rows[j]
-        was_active = b_old != 0.0 or had_row
-        if was_active:
-            r_mj = self.r + x_j * b_old
-            if had_row:
-                r_mj += self.ws.block(j)[0][:, 1:] @ self.theta[j]
-        else:
-            r_mj = self.r
+        r_mj = self.r + x_j * b_old if b_old != 0.0 else self.r
         if self.cfg.screen:
             a = float(x_j @ r_mj) / n
-            if not was_active and abs(a) <= self.rho and _zero_slack(
+            if b_old == 0.0 and abs(a) <= self.rho and _zero_slack(
                     a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
                 return
             if self.ws.xnorm2[j] == 0.0:
@@ -656,27 +672,58 @@ class _Fitter:
             sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
             if math.sqrt(sq @ sq) <= self.rho:
                 self.beta[j] = bhat
-                self.theta[j] = 0.0
-                self.rows[j] = False
                 self.r = resid_b
                 return
         d, gram, t = self.ws.block(j)
-        g0 = np.concatenate(([b_old], self.theta[j]))
-        c = d.T @ r_mj / n
+        g0 = np.zeros(data.n_modifiers + 1)
+        g0[0] = b_old
+        g, stopped = _block_minimize(gram, d.T @ r_mj / n, g0, self.rho,
+                                     self.mu, t, self.cfg)
+        self.n_prox_capped += not stopped
+        self._set_block(j, g)
+        self.r = r_mj - d @ g
+
+    def _update_row(self, j):
+        """The visit of a group whose theta row is nonzero, in Gram form
+        like the K = 1 visit: the pull of the partial residual is
+        c = D_j'r/N + G_j g0 at the current block g0, so r_{-j} is never
+        formed.  The exact solve on the row's support (``_solve_on_support``)
+        goes first; only when it declines, or at rho = 0, come the beta-only
+        soft-threshold b = S(c_0, rho) / G_00 (when ``screen`` is on) and
+        then the joint prox loop, both on the same c.  The residual takes
+        one update, r -= D_j (g - g0)."""
+        d, gram, t = self.ws.block(j)
+        g0 = np.concatenate(([self.beta[j]], self.theta[j]))
+        c = d.T @ self.r / self.data.n_samples + gram @ g0
+        rho = self.rho
         g = None
-        if had_row and self.rho > 0.0:
-            g = _solve_on_support(gram, c, g0, self.rho, self.mu,
+        if rho > 0.0:
+            g = _solve_on_support(gram, c, g0, rho, self.mu,
                                   self.ws.support(j, self.theta[j]))
+        if g is None and self.cfg.screen:
+            if self.ws.xnorm2[j] == 0.0:
+                raise ValueError(f"X column {j} is identically zero")
+            c0 = c.item(0)
+            bhat = (math.copysign(abs(c0) - rho, c0) / gram.item(0, 0)
+                    if abs(c0) > rho else 0.0)
+            # the theta pull at (bhat, 0)
+            sq = soft_threshold(c[1:] - bhat * gram[1:, 0], self.mu)
+            if math.sqrt(sq @ sq) <= rho:
+                g = np.zeros_like(c)
+                g[0] = bhat
         if g is None:
-            g, stopped = _block_minimize(gram, c, g0, self.rho, self.mu, t,
+            g, stopped = _block_minimize(gram, c, g0, rho, self.mu, t,
                                          self.cfg)
             self.n_prox_capped += not stopped
-        row_new = g[1:]
-        has_row = bool(row_new.any())
+        self._set_block(j, g)
+        self.r -= d @ (g - g0)
+
+    def _set_block(self, j, g):
+        row = g[1:]
+        has_row = bool(row.any())
         self.beta[j] = g[0]
-        self.theta[j] = row_new if has_row else 0.0
+        self.theta[j] = row if has_row else 0.0
         self.rows[j] = has_row
-        self.r = r_mj - d @ g
 
     def _update_k1(self, j):
         """The K = 1 block update: one exact solve (``_solve_k1``) in place

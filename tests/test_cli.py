@@ -279,6 +279,35 @@ class TestExitCodes:
         assert rc == 1
         assert "n_folds" in capsys.readouterr().err
 
+    def test_non_text_data_is_2(self, tmp_path, capsys):
+        # a file that is not UTF-8 text used to exit 1, as a usage error
+        data = tmp_path / "d.tsv"
+        data.write_bytes(b"y\tx\tw\n1\t\xff\t0\n")
+        rc = main(["fit", "--data", str(data), "--z-cols", "w",
+                   "--model", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "not a text file" in capsys.readouterr().err
+
+    def test_out_of_range_model_value_is_2(self, tmp_path, capsys):
+        # alpha = 1 in a model file used to exit 1 from the fit's own check
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=20)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--z-cols", "w",
+                     "--model", str(model), "--nlambda", "3"]) == 0
+        doc = json.loads(model.read_text())
+        doc["alpha"] = 1.0
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--model", str(model), "--data", str(data)])
+        assert rc == 2
+        assert "'alpha' is not a number in [0, 1)" in capsys.readouterr().err
+
+    def test_negative_seed_is_1(self, tmp_path, capsys):
+        rc = main(["simulate", "--spec", "df_null", "--seed", "-1",
+                   "--prefix", str(tmp_path / "s")])
+        assert rc == 1
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_non_finite_tolerance_is_1(self, tmp_path, capsys):
         # used to run 1000 passes and exit 3, "no convergence"
         data = tmp_path / "d.tsv"

@@ -111,6 +111,21 @@ class TestKFoldCv:
         with pytest.raises(ValueError, match="n_folds"):
             k_fold_cv(data, n_folds=21)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_folds": 2.5}, "n_folds"), ({"seed": -1}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer")])
+    def test_fold_settings_checked_before_any_fit(self, monkeypatch, kwargs,
+                                                  message):
+        # a bad seed used to fail inside numpy after the full-data path
+        def no_fit(*args, **kw):
+            raise AssertionError("the path was fit before the fold settings "
+                                 "were checked")
+
+        monkeypatch.setattr("plasso.cv.fit_path", no_fit)
+        data = cv_data(np.random.default_rng(36), n=20)
+        with pytest.raises(ValueError, match=message):
+            k_fold_cv(data, **kwargs)
+
     def test_duplicated_rows_leave_selection_index_stable(self):
         # doubling every row with paired folds gives identical fold fits,
         # so the selected index on the common grid must not move

@@ -104,6 +104,13 @@ class TestBootstrapDf:
         with pytest.raises(ValueError, match="sigma .* got nan"):
             bootstrap_df(self.mu, np.nan, self.X, self.Z, [1.0])
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # used to fail inside numpy with a message that did not name it
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bootstrap_df(self.mu, 1.0, self.X, self.Z, [1.0], n_boot=2,
+                         seed=seed)
+
     def test_fractional_n_boot_rejected(self):
         # used to raise numpy's TypeError from np.empty
         with pytest.raises(ValueError, match="n_boot .* got 2.5"):
@@ -263,6 +270,16 @@ class TestUnknownZConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_cycles"):
             UnknownZConfig(n_cycles=0)
+
+    @pytest.mark.parametrize("name, low", [("n_cycles", 1), ("cv_folds", 2),
+                                           ("n_lambda", 1), ("seed", 0)])
+    @pytest.mark.parametrize("shift", [-1, np.nan, 0.5])
+    def test_counts_are_integers_in_range(self, name, low, shift):
+        # NaN and fractional counts, a negative seed and one CV fold used to
+        # be accepted
+        with pytest.raises(ValueError, match=f"{name} must be an integer "
+                                             f">= {low}"):
+            UnknownZConfig(**{name: low + shift})
 
     @pytest.mark.parametrize("name", ["lam", "lambda2"])
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])

@@ -297,3 +297,55 @@ class TestMalformedModelFile:
         with pytest.raises(DataFormatError,
                            match=r"diagnostics\[3\]: missing key 'n_passes'"):
             load_model(f)
+
+
+def _set(*keys, value):
+    """A mutation that sets doc[keys[0]]...[keys[-1]] to ``value``."""
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return mutate
+
+
+class TestModelFileRanges:
+    """Values the model types reject are format errors of the file, so the
+    CLI reports them as data errors (exit 2) and not as usage errors."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set("alpha", value=1.0), r"'alpha' is not a number in \[0, 1\)"),
+        (_set("alpha", value=-0.5), r"'alpha' is not a number in \[0, 1\)"),
+        (_set("lambdas", 2, value=-1.0),
+         r"'lambdas' holds an entry that is not a finite number >= 0"),
+        (_set("standardization", "y_mean", value=None),
+         r"standardization: 'y_mean' is not a finite number"),
+        (_set("standardization", "x_scales", 0, value=0.0),
+         r"'x_scales' is not a list of 4 finite nonzero numbers"),
+        (_set("standardization", "z_means", value=[0.0]),
+         r"'z_means' is not a list of 2 finite numbers"),
+        (_set("standardization", "x_means", value="abc"),
+         r"'x_means' is not a list of 4 finite numbers"),
+        (_set("standardization", "center_y", value=1),
+         r"'center_y' is not true or false"),
+    ], ids=["alpha_one", "alpha_negative", "negative_lambda", "null_y_mean",
+            "zero_scale", "short_z_means", "text_means", "integer_flag"])
+    def test_out_of_range_value_is_a_format_error(self, tmp_path, mutate,
+                                                  message):
+        _, path, _ = small_path()
+        f = tmp_path / "model.json"
+        save_model(f, path)
+        doc = json.loads(f.read_text())
+        mutate(doc)
+        f.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=message):
+            load_model(f)
+
+
+class TestReadDelimitedEncoding:
+    def test_non_text_file_is_a_format_error(self, tmp_path):
+        # bytes that are not UTF-8 used to escape as UnicodeDecodeError
+        f = tmp_path / "d.tsv"
+        f.write_bytes(b"a\tb\n1\t\xff\n")
+        with pytest.raises(DataFormatError, match="not a text file"):
+            read_delimited(f)

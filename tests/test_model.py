@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from plasso.model import Dataset, DimensionError, PliableFit, objective, predict
+from plasso.model import (Dataset, DimensionError, PliableFit,
+                          interaction_block, objective, predict)
 
 from oracles import objective_loops, satisfies_hierarchy
 
@@ -92,6 +93,13 @@ class TestPredict:
         # 1 + 2*5 + 3*1 + 4*1*5
         assert got.shape == (1,)
         assert got[0] == pytest.approx(34.0, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [-1, 2, 1.0])
+    def test_interaction_block_index_never_wraps(self, j):
+        # j = -1 used to return the block of the last column
+        with pytest.raises(IndexError, match=r"j .* is out of range: 2 "
+                                             r"columns in X, indices 0 to 1"):
+            interaction_block(np.ones((3, 2)), np.ones((3, 1)), j)
 
     def test_dimension_error_names_block(self):
         fit = PliableFit.zeros(2, 1)

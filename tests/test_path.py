@@ -108,6 +108,17 @@ class TestLambdaGrid:
         with pytest.raises(ValueError, match=r"min_ratio must lie in \(0, 1\)"):
             lambda_grid(1.0, 5, ratio)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 2.5])
+    def test_n_lambda_must_be_an_integer(self, n):
+        # used to escape as numpy's TypeError
+        with pytest.raises(ValueError, match="n_lambda must be an integer"):
+            lambda_grid(1.0, n, 0.1)
+
+    def test_rejects_negative_lambda_max(self):
+        # used to return the all-zero grid
+        with pytest.raises(ValueError, match="lam_max must be >= 0"):
+            lambda_grid(-1.0, 5, 0.1)
+
     def test_default_min_ratio(self):
         assert default_lambda_min_ratio(1000, 10, 4) == 0.01
         assert default_lambda_min_ratio(50, 10, 4) == 0.05
@@ -180,6 +191,17 @@ class TestFitPath:
         via_raw = predict(raw, data.X, data.Z)
         via_path = path.predict(data.X, data.Z, index=4)
         np.testing.assert_allclose(via_raw, via_path, atol=1e-10)
+
+    @pytest.mark.parametrize("index", [-1, 3, 1.0])
+    def test_level_index_never_wraps(self, index):
+        # -1 used to pick the last level silently
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.standard_normal(20), rng.standard_normal((20, 2)))
+        path = fit_path(data, n_lambda=3)
+        with pytest.raises(IndexError, match="out of range"):
+            path.fit_raw(index)
+        with pytest.raises(IndexError, match="out of range"):
+            path.predict(data.X, index=index)
 
     def test_deterministic(self):
         data = signal_data(np.random.default_rng(29), n=40)

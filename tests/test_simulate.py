@@ -14,6 +14,19 @@ class TestSimSpec:
         with pytest.raises(ValueError, match="known names"):
             generate(SimSpec("nope"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_train": 0}, "n_train must be an integer >= 1"),
+        ({"n_test": 2.5}, "n_test must be an integer >= 1"),
+        ({"p": np.nan}, "p must be an integer >= 1"),
+        ({"k": -1}, "k must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"noise_sd": -0.5}, "noise_sd must be >= 0 and finite"),
+        ({"noise_sd": np.nan}, "noise_sd must be >= 0 and finite")])
+    def test_sizes_seed_and_noise_checked(self, kwargs, message):
+        # these used to fail inside numpy, or (noise_sd) pass or blame y
+        with pytest.raises(ValueError, match=message):
+            SimSpec("df_null", **kwargs)
+
     def test_defaults_resolve_and_overrides_stick(self):
         spec = SimSpec("sim_main").resolved()
         assert (spec.n_train, spec.p, spec.k) == (100, 50, 4)

@@ -58,6 +58,10 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="threshold"):
             soft_threshold(1.0, -0.1)
 
+    def test_infinite_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            soft_threshold(np.ones(3), np.inf)
+
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
             soft_threshold(np.array([1.0, -2.0]), np.nan)
@@ -148,6 +152,12 @@ class TestProxGroup:
         with pytest.raises(ProxSolveError, match="non-finite"):
             prox_group(np.array(z), 0.5, 0.0)
 
+    @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
+    def test_bad_group_penalty_rejected(self, c):
+        # a negative c used to return a block
+        with pytest.raises(ValueError, match="c must be >= 0 and finite"):
+            prox_group(np.array([1.0, 1.0, 2.0]), c, 0.1)
+
     def test_nan_l1_rejected(self):
         # the theta soft-threshold rejects it before any norm is formed
         with pytest.raises(ValueError, match="threshold"):
@@ -155,6 +165,14 @@ class TestProxGroup:
 
 
 class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["max_outer_iters", "max_prox_iters"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 0])
+    def test_iteration_caps_are_integers(self, field, value):
+        # NaN, inf and 2.5 used to be accepted as caps
+        with pytest.raises(ValueError, match=f"{field} must be an integer "
+                                             ">= 1"):
+            SolverConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["tol_obj", "tol_kkt"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8])
     def test_tolerance_must_be_positive_and_finite(self, field, value):
@@ -221,6 +239,63 @@ class TestSingleBlockOps:
         g_new = prox_group(z, t * (1.0 - cfg.alpha) * lam, t * cfg.alpha * lam)
         assert g_new[0] == pytest.approx(fit.beta[0], abs=1e-7)
         np.testing.assert_allclose(g_new[1:], g[1:], atol=1e-7)
+
+
+class TestRowVisit:
+    """The Gram-form visit of groups with a theta row, which updates the
+    running residual once per visit instead of rebuilding r_{-j}."""
+
+    def test_running_kkt_matches_recomputed_along_path(self):
+        # FitDiagnostics.kkt comes from the fitter's running residual and
+        # check_kkt recomputes it from the coefficients, so agreement along
+        # a warm-started K = 4 path shows that the residual does not drift
+        cfg = SolverConfig()
+        train = generate(SimSpec("df_null", seed=3)).train
+        assert train.n_modifiers == 4
+        std, _ = standardize(train, cfg.standardize_x, cfg.standardize_z,
+                             cfg.center_y)
+        ws = Workspace(std)
+        warm = None
+        rows = 0
+        for lam in np.geomspace(0.3, 0.003, 20):
+            warm, diag = fit_single_lambda(std, lam, cfg, warm=warm,
+                                           workspace=ws,
+                                           return_diagnostics=True)
+            rows = max(rows, len(warm.theta_rows))
+            np.testing.assert_allclose(diag.kkt.per_group,
+                                       check_kkt(warm, std).per_group,
+                                       rtol=0.0, atol=1e-10)
+        assert rows > 1  # the path reached the Gram-form visit
+
+    def test_exact_solve_stays_in_the_normal_floats(self):
+        # a bootstrap refit of df_null whose group 1 certifies zero at
+        # lambda[6] = 0.07: the exact solve on the group's warm support used
+        # to follow its norm equations toward the zero block until the
+        # squared norms were subnormal, accept a block of norm 4e-162 there
+        # and leave a KKT residual of 8.7e-4 through 1000 passes
+        seed = 1232992847
+        sim = generate(SimSpec("df_null", seed=seed))
+        draws = np.random.default_rng(seed).standard_normal((4, 100))
+        data = Dataset(sim.truth.mu_train + draws[3], sim.train.X,
+                       sim.train.Z)
+        path = fit_path(data, SolverConfig(),
+                        lambdas=np.geomspace(0.3, 0.003, 20))
+        assert max(d.kkt_max for d in path.diagnostics) <= 1e-4
+        for fit in path.fits:
+            for j, row in fit.theta_rows.items():
+                assert np.hypot(fit.beta[j], np.linalg.norm(row)) > 1e-100
+
+    def test_zero_column_with_row_rejected(self):
+        # a warm theta row on an all-zero column: the exact solve declines
+        # and the beta-only move names the column, as for a beta-only warm
+        # start (TestSingleBlockOps)
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.zeros(6), rng.standard_normal(6)])
+        data = Dataset(rng.standard_normal(6), X, rng.standard_normal((6, 2)))
+        warm = PliableFit(0.0, np.zeros(2), np.array([1.0, 0.0]),
+                          {0: np.array([0.5, -0.5])})
+        with pytest.raises(ValueError, match="column 0"):
+            fit_single_lambda(data, 1.0, warm=warm)
 
 
 class TestIntercepts:
