@@ -25,8 +25,11 @@ the move that set its block:
 
 Each K = 1 visit counts as ``k1``.  ``row_visits`` counts the visits to a
 group that had a theta row, ``tries`` the calls of the exact solve, and
-``hit_rate`` is exact / tries.  Prints one JSON object: per workload, one
-row per input and their total, each with the count and share of every move.
+``hit_rate`` is exact / tries.  ``fits`` counts the single-level fits
+(``_Fitter.run``), ``passes`` their passes, and ``passes_per_fit`` is
+passes / fits.  Prints one JSON object: per workload, one row per input and
+their total, each with the count and share of every move and the pass
+counts.
 """
 
 from __future__ import annotations
@@ -41,15 +44,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes")
 WORKLOADS = ("boot_df", "wide_path", "cli_cv_hte")
 
 
 @contextlib.contextmanager
 def counting(solver, counts):
-    """Count every block visit of ``solver._Fitter`` into ``counts`` while
-    the block is active; the original attributes are restored after it."""
+    """Count every block visit, fit and pass of ``solver._Fitter`` into
+    ``counts`` while the block is active; the original attributes are
+    restored after it."""
     fitter = solver._Fitter
-    update, update_k1 = fitter._update_group, fitter._update_k1
+    update, update_k1, run = fitter._update_group, fitter._update_k1, \
+        fitter.run
     solve, loop = solver._solve_on_support, solver._block_minimize
     seen = {"exact": False, "loop": False}
 
@@ -81,24 +87,35 @@ def counting(solver, counts):
         counts["k1"] += 1
         update_k1(self, j)
 
+    def run_traced(self):
+        try:
+            return run(self)
+        finally:
+            counts["fits"] += 1
+            counts["passes"] += self.n_passes
+
     fitter._update_group, fitter._update_k1 = update_traced, update_k1_traced
+    fitter.run = run_traced
     solver._solve_on_support, solver._block_minimize = solve_traced, loop_traced
     try:
         yield
     finally:
         fitter._update_group, fitter._update_k1 = update, update_k1
+        fitter.run = run
         solver._solve_on_support, solver._block_minimize = solve, loop
 
 
 def summary(counts) -> dict:
-    """The counts with each move's share of all visits and the hit rate of
-    the exact solve (None where there was none)."""
+    """The counts with each move's share of all visits, the hit rate of
+    the exact solve and the passes per fit (None where there was none)."""
     visits = sum(counts[m] for m in MOVES)
     out = dict(counts, visits=visits)
     for m in MOVES:
         out[f"{m}_share"] = counts[m] / visits if visits else None
     out["hit_rate"] = counts["exact"] / counts["tries"] if counts["tries"] \
         else None
+    out["passes_per_fit"] = counts["passes"] / counts["fits"] \
+        if counts["fits"] else None
     return out
 
 
@@ -128,7 +145,7 @@ def main(argv=None) -> int:
         for name in WORKLOADS:
             wl = workloads.WORKLOADS[name](args.seed, args.tiny, Path(tmp))
             wl.prepare()
-            total = dict.fromkeys(MOVES + ("tries", "row_visits"), 0)
+            total = dict.fromkeys(COUNTS, 0)
             rows = []
             for i in range(args.ops):
                 inp = wl.make_input(1, i)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cv import k_fold_cv
+from .cv import _check_n_folds, k_fold_cv
 from .extras import bootstrap_df, fit_unknown_z, run_hte_scenario, UnknownZConfig
 from .io import (DataFormatError, load_model, read_delimited, save_model,
                  split_columns, write_table)
@@ -86,6 +86,7 @@ def cmd_fit(args, invocation):
 
 def cmd_cv(args, invocation):
     data, x_names, z_names = _read_dataset(args)
+    _check_n_folds(args.folds, data.n_samples, "--folds")
     cfg = _solver_config(args)
     cv = k_fold_cv(data, cfg, n_folds=args.folds, seed=args.seed,
                    n_lambda=args.nlambda,

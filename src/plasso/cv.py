@@ -54,6 +54,14 @@ def _fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
     return ids
 
 
+def _check_n_folds(n_folds, n, name="n_folds"):
+    """Raise ValueError naming ``name`` and the row count ``n`` unless
+    ``n_folds`` is an integer in [2, n]."""
+    if not (isinstance(n_folds, numbers.Integral) and 2 <= n_folds <= n):
+        raise ValueError(f"{name} must be an integer in [2, {n}] for data "
+                         f"with {n} rows, got {n_folds!r}")
+
+
 def _fold_errors(data, cfg, grid, ids, f):
     """Held-out mean squared error along ``grid`` of the path refit without
     the rows of fold ``f``."""
@@ -89,9 +97,7 @@ def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
     """
     cfg = config if config is not None else SolverConfig()
     if folds is None:
-        if not (isinstance(n_folds, numbers.Integral)
-                and 2 <= n_folds <= data.n_samples):
-            raise ValueError(f"n_folds must lie in [2, N], got {n_folds}")
+        _check_n_folds(n_folds, data.n_samples)
         _check_int(seed, "seed", 0)
         ids = _fold_ids(data.n_samples, n_folds, seed)
     else:

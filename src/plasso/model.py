@@ -259,7 +259,12 @@ def _check_cells(name, arr):
 
 def predict(fit: PliableFit, X, Z=None) -> np.ndarray:
     """Evaluate beta0 + Z theta0 + X beta + sum_j (X_j o Z) theta_j rowwise."""
-    X, Z = _as_xz(fit, X, Z)
+    return _linear_predictor(fit, *_as_xz(fit, X, Z))
+
+
+def _linear_predictor(fit: PliableFit, X, Z) -> np.ndarray:
+    """``predict``'s formula without its checks: X (N, p) and Z (N, K) must
+    already be finite float arrays that match the fit."""
     yhat = np.full(X.shape[0], fit.beta0)
     if fit.n_modifiers:
         yhat += Z @ fit.theta0

@@ -1,5 +1,6 @@
 """Regularization path: the smallest all-zero penalty level, a geometric
-grid below it, and warm-started fits along the grid."""
+grid below it, and fits along the grid, each warm-started from the fits
+before it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, PliableFit, _check_index, _check_int, predict
+from .model import (Dataset, PliableFit, _as_xz, _check_index, _check_int,
+                    _linear_predictor)
 from .preprocess import StandardizationMap, destandardize_fit, standardize
 from .solver import (ConvergenceError, SolverConfig, Workspace, _pulls,
                      _zero_slack, fit_single_lambda)
@@ -70,15 +72,17 @@ class PathResult:
 
         Returns shape (N,) for a single ``index``, else (N, n_lambdas).
         """
-        X = np.asarray(X, dtype=float)
-        Xs = self.smap.transform(X=X)
+        Xs = self.smap.transform(X=np.asarray(X, dtype=float))
         Zs = self.smap.transform(Z=Z) if Z is not None else None
         if index is not None:
             _check_index(index, self.n_lambdas)
-            return predict(self.fits[index], Xs, Zs) + self.smap.y_mean
-        out = np.empty((X.shape[0], self.n_lambdas))
+        # every level shares the dimensions, so the inputs are checked once
+        Xs, Zs = _as_xz(self.fits[0], Xs, Zs)
+        if index is not None:
+            return _linear_predictor(self.fits[index], Xs, Zs) + self.smap.y_mean
+        out = np.empty((Xs.shape[0], self.n_lambdas))
         for i, fit in enumerate(self.fits):
-            out[:, i] = predict(fit, Xs, Zs)
+            out[:, i] = _linear_predictor(fit, Xs, Zs)
         return out + self.smap.y_mean
 
 
@@ -161,11 +165,37 @@ def lambda_grid(lam_max: float, n_lambda: int, min_ratio: float) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * min_ratio, n_lambda)
 
 
+def _secant_start(f0: PliableFit, f1: PliableFit, lam: float) -> PliableFit:
+    """The warm start at ``lam`` predicted from the fits f0 and f1 at the
+    two levels before it: every beta and theta entry on the secant through
+    them, linear in the penalty,
+
+        e = f1 + (lam - lam1) / (lam1 - lam0) * (f1 - f0),
+
+    except where e would change the sign of f1's entry (zeros included),
+    which keeps f1's entry.  So the start has f1's support and signs, and
+    f1's intercepts, which the first pass refreshes."""
+    step = (lam - f1.lam) / (f1.lam - f0.lam)
+
+    def extend(a1, a0):
+        e = a1 + step * (a1 - a0)
+        return np.where(np.sign(e) == np.sign(a1), e, a1)
+
+    return PliableFit.from_dense(f1.beta0, f1.theta0,
+                                 extend(f1.beta, f0.beta),
+                                 extend(f1.theta, f0.theta), lam, f1.alpha)
+
+
 def fit_path(data: Dataset, config: SolverConfig | None = None,
              n_lambda: int = 50, lambda_min_ratio: float | None = None,
              lambdas=None) -> PathResult:
     """Standardize, build (or accept) a decreasing penalty grid, and fit it
-    with warm starts.  Solver failures propagate with the grid index attached.
+    with warm starts.  The second level starts from the first fit; every
+    later level starts from the secant through the two fits before it,
+    linear in the penalty, with each entry that the secant would move
+    across zero kept at its last value (``_secant_start``).  This is the
+    predictor-corrector idea of Park & Hastie (2007) applied to glmnet's
+    warm starts.  Solver failures propagate with the grid index attached.
     """
     cfg = config if config is not None else SolverConfig()
     std, smap = standardize(data, cfg.standardize_x, cfg.standardize_z,
@@ -181,8 +211,9 @@ def fit_path(data: Dataset, config: SolverConfig | None = None,
     ws = Workspace(std)
     fits = []
     diags = []
-    warm = None
     for i, lam in enumerate(grid):
+        warm = (_secant_start(fits[-2], fits[-1], lam) if i >= 2
+                else fits[-1] if i else None)
         try:
             fit, d = fit_single_lambda(std, lam, cfg, warm=warm, workspace=ws,
                                        return_diagnostics=True)
@@ -197,7 +228,6 @@ def fit_path(data: Dataset, config: SolverConfig | None = None,
             n_active_theta_rows=len(fit.theta_rows),
             kkt_max=d.kkt.max_violation,
             n_prox_capped=d.n_prox_capped))
-        warm = fit
     return PathResult(lambdas=grid, fits=tuple(fits), diagnostics=tuple(diags),
                       smap=smap, alpha=cfg.alpha)
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Dataset, PliableFit, _check_int, _check_penalty,
-                    _penalty_sums, interaction_block, predict)
+                    _linear_predictor, _penalty_sums, interaction_block,
+                    predict)
 
 __all__ = [
     "SolverConfig",
@@ -614,8 +615,8 @@ class _Fitter:
             self.theta0 = np.zeros(k)
         # groups whose theta row is nonzero; every write to theta updates it
         self.rows = self.theta.any(axis=1)
-        self.r = (data.y - predict(warm, data.X, data.Z) if warm is not None
-                  else data.y.copy())
+        self.r = (data.y - _linear_predictor(warm, data.X, data.Z)
+                  if warm is not None else data.y.copy())
         self.n_passes = 0
         self.n_prox_capped = 0
 

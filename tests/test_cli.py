@@ -277,7 +277,22 @@ class TestExitCodes:
                    "--model", str(model), "--output", str(tmp_path / "o.tsv"),
                    "--folds", "1"])
         assert rc == 1
-        assert "n_folds" in capsys.readouterr().err
+        assert "--folds must be an integer in [2, 20]" in capsys.readouterr().err
+
+    def test_default_folds_on_five_rows_names_flag_and_rows(self, tmp_path,
+                                                             capsys):
+        # the default --folds 10 on a 5-row file used to say only
+        # "n_folds must lie in [2, N], got 10"
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=5)
+        model = tmp_path / "m.json"
+        rc = main(["cv", "--data", str(data), "--z-cols", "w",
+                   "--model", str(model), "--output", str(tmp_path / "o.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("plasso: --folds must be an integer in [2, 5] for "
+                       "data with 5 rows, got 10\n")
+        assert not model.exists()
 
     def test_non_text_data_is_2(self, tmp_path, capsys):
         # a file that is not UTF-8 text used to exit 1, as a usage error

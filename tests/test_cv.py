@@ -111,6 +111,12 @@ class TestKFoldCv:
         with pytest.raises(ValueError, match="n_folds"):
             k_fold_cv(data, n_folds=21)
 
+    def test_fold_count_message_gives_the_row_count(self):
+        data = cv_data(np.random.default_rng(36), n=5)
+        with pytest.raises(ValueError, match=r"^n_folds must be an integer "
+                           r"in \[2, 5\] for data with 5 rows, got 10$"):
+            k_fold_cv(data)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_folds": 2.5}, "n_folds"), ({"seed": -1}, "seed must be an integer"),
         ({"seed": 1.5}, "seed must be an integer")])

@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes")
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,15 @@ def test_every_visit_counts_under_one_move(report):
             assert row["visits"] == sum(row[m] for m in MOVES) > 0
             assert sum(row[f"{m}_share"] for m in MOVES) == pytest.approx(1.0)
             assert row["exact"] <= row["tries"] <= row["row_visits"]
-        for key in MOVES + ("tries", "row_visits"):
+        for key in COUNTS:
             assert entry["total"][key] == sum(r[key] for r in entry["inputs"])
+
+
+def test_passes_per_fit(report):
+    for entry in report["workloads"].values():
+        for row in entry["inputs"] + [entry["total"]]:
+            assert row["passes"] >= row["fits"] > 0
+            assert row["passes_per_fit"] == row["passes"] / row["fits"]
 
 
 def test_moves_follow_the_number_of_modifiers(report):

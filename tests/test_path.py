@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from plasso import path as path_module
+from plasso import simulate
 from plasso.cv import k_fold_cv
-from plasso.model import Dataset, predict
-from plasso.path import (PathResult, default_lambda_min_ratio, fit_path,
-                         lambda_grid, lambda_max)
+from plasso.model import Dataset, PliableFit, objective, predict
+from plasso.path import (PathResult, _secant_start, default_lambda_min_ratio,
+                         fit_path, lambda_grid, lambda_max)
 from plasso.preprocess import standardize
-from plasso.solver import SolverConfig, fit_single_lambda
+from plasso.solver import SolverConfig, Workspace, check_kkt, fit_single_lambda
 
 
 def signal_data(rng, n=80, p=6, k=3):
@@ -218,3 +220,123 @@ class TestFitPath:
             PathResult(lambdas=np.array([0.1, 0.2]), fits=path.fits[:2],
                        diagnostics=path.diagnostics[:2], smap=path.smap,
                        alpha=path.alpha)
+
+
+class TestSecantStart:
+    """Each level after the second starts from the secant through the two
+    fits before it, with every entry the secant would move across zero kept
+    at its last value."""
+
+    def test_entries_on_the_secant_or_kept(self):
+        # step = (0.25 - 0.5) / (0.5 - 1.0) = 0.5
+        f0 = PliableFit(0.3, [1.0, 2.0], [1.0, 1.0, 4.0, 3.0, -1.0, 0.0],
+                        {0: [1.0, -1.0], 1: [2.0, 0.5]}, lam=1.0, alpha=0.4)
+        f1 = PliableFit(0.7, [-1.0, 0.5], [2.0, 0.0, 1.0, 1.0, -2.0, 0.0],
+                        {0: [1.5, 0.0], 4: [-0.2, 0.1]}, lam=0.5, alpha=0.4)
+        start = _secant_start(f0, f1, 0.25)
+        # on the secant; zero in f1; across zero; onto zero; negative; zero
+        assert start.beta.tolist() == [2.5, 0.0, 1.0, 1.0, -2.5, 0.0]
+        assert set(start.theta_rows) == {0, 4}
+        assert start.theta_rows[0].tolist() == [1.75, 0.0]
+        # row 4 had no row in f0: entries grow by half of themselves
+        assert start.theta_rows[4].tolist() == [-0.2 * 1.5, 0.1 * 1.5]
+        assert start.beta0 == f1.beta0
+        assert start.theta0.tolist() == f1.theta0.tolist()
+        assert (start.lam, start.alpha) == (0.25, 0.4)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_support_and_signs_kept(self, seed):
+        rng = np.random.default_rng(seed)
+        p, k = 8, 3
+
+        def draw():
+            # about half of the entries zero, so zeros meet every sign
+            beta = rng.standard_normal(p) * (rng.random(p) < 0.6)
+            theta = rng.standard_normal((p, k)) * (rng.random((p, k)) < 0.5)
+            return beta, theta
+
+        (b0, t0), (b1, t1) = draw(), draw()
+        lam0, lam1 = sorted(rng.uniform(0.1, 2.0, 2), reverse=True)
+        lam2 = lam1 * rng.uniform(0.0, 1.0)
+        f0 = PliableFit.from_dense(0.0, np.zeros(k), b0, t0, lam0)
+        f1 = PliableFit.from_dense(0.0, np.zeros(k), b1, t1, lam1)
+        start = _secant_start(f0, f1, lam2)
+        step = (lam2 - lam1) / (lam1 - lam0)
+        for got, a1, a0 in ((start.beta, b1, b0), (start.theta, t1, t0)):
+            assert np.array_equal(np.sign(got), np.sign(a1))
+            e = a1 + step * (a1 - a0)
+            agree = np.sign(e) == np.sign(a1)
+            assert np.array_equal(got[agree], e[agree])
+            assert np.array_equal(got[~agree], a1[~agree])
+
+    def test_grid_ending_at_zero(self):
+        rng = np.random.default_rng(30)
+        data = signal_data(rng, n=60, p=3)
+        path = fit_path(data, lambdas=[0.3, 0.1, 0.0])
+        assert path.lambdas[-1] == 0.0
+        for d in path.diagnostics:
+            assert d.kkt_max <= SolverConfig().tol_kkt
+
+    @pytest.mark.parametrize("n_levels, n_secants", [(1, 0), (2, 0), (3, 1),
+                                                     (5, 3)])
+    def test_first_two_levels_take_no_secant(self, monkeypatch, n_levels,
+                                             n_secants):
+        calls = []
+
+        def counted(f0, f1, lam):
+            calls.append(lam)
+            return _secant_start(f0, f1, lam)
+
+        monkeypatch.setattr(path_module, "_secant_start", counted)
+        data = signal_data(np.random.default_rng(31), n=40)
+        grid = np.geomspace(1.0, 0.05, n_levels) if n_levels > 1 else [0.5]
+        path = fit_path(data, lambdas=grid)
+        assert calls == path.lambdas[2:].tolist()
+        assert len(calls) == n_secants
+
+
+def plain_warm_path(std, cfg, grid):
+    """The reference: each level warm-started from the fit before it."""
+    ws = Workspace(std)
+    fits, warm = [], None
+    for lam in grid:
+        warm = fit_single_lambda(std, lam, cfg, warm=warm, workspace=ws)
+        fits.append(warm)
+    return fits
+
+
+def coefficients(fit):
+    return np.concatenate(([fit.beta0], fit.theta0, fit.beta,
+                           fit.theta.ravel()))
+
+
+def df_null_data():
+    return simulate.generate(simulate.SimSpec("df_null", seed=4)).train
+
+
+def wide_data():
+    rng = np.random.default_rng(32)
+    X = rng.standard_normal((50, 200))
+    Z = rng.standard_normal((50, 3))
+    y = (2.0 * X[:, 0] - 1.5 * X[:, 1] + 2.0 * X[:, 0] * Z[:, 0]
+         + rng.standard_normal(50))
+    return Dataset(y, X, Z)
+
+
+@pytest.mark.parametrize("make_data, kwargs", [
+    (df_null_data, {"lambdas": np.geomspace(0.3, 0.003, 20)}),
+    (wide_data, {"n_lambda": 25})], ids=["df_null", "wide"])
+def test_secant_path_matches_plain_warm_starts(make_data, kwargs):
+    cfg = SolverConfig()
+    data = make_data()
+    path = fit_path(data, cfg, **kwargs)
+    std, _ = standardize(data)
+    reference = plain_warm_path(std, cfg, path.lambdas)
+    for fit, ref in zip(path.fits, reference):
+        assert check_kkt(fit, std).max_violation <= cfg.tol_kkt
+        # two fits whose subgradient residuals are at most tol_kkt differ
+        # in objective by at most tol_kkt times their l1 distance (convexity:
+        # F(a) - F(b) <= <g_a, a - b> for g_a in the subdifferential at a)
+        gap = abs(objective(fit, std).total - objective(ref, std).total)
+        assert gap <= cfg.tol_kkt * np.abs(coefficients(fit)
+                                           - coefficients(ref)).sum() + 1e-15
