@@ -26,10 +26,12 @@ the move that set its block:
 Each K = 1 visit counts as ``k1``.  ``row_visits`` counts the visits to a
 group that had a theta row, ``tries`` the calls of the exact solve, and
 ``hit_rate`` is exact / tries.  ``fits`` counts the single-level fits
-(``_Fitter.run``), ``passes`` their passes, and ``passes_per_fit`` is
-passes / fits.  Prints one JSON object: per workload, one row per input and
-their total, each with the count and share of every move and the pass
-counts.
+(``_Fitter.run``), ``passes`` their passes and ``sweeps`` the sweeps of
+pulls over all groups they take (calls of ``solver._pulls`` inside
+``_Fitter.run``, not those of ``lambda_max``); ``passes_per_fit`` and
+``sweeps_per_fit`` are passes / fits and sweeps / fits.  Prints one JSON
+object: per workload, one row per input and their total, each with the
+count and share of every move and the pass and sweep counts.
 """
 
 from __future__ import annotations
@@ -44,20 +46,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
-COUNTS = MOVES + ("tries", "row_visits", "fits", "passes")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps")
 WORKLOADS = ("boot_df", "wide_path", "cli_cv_hte")
 
 
 @contextlib.contextmanager
 def counting(solver, counts):
-    """Count every block visit, fit and pass of ``solver._Fitter`` into
-    ``counts`` while the block is active; the original attributes are
+    """Count every block visit, fit, pass and sweep of ``solver._Fitter``
+    into ``counts`` while the block is active; the original attributes are
     restored after it."""
     fitter = solver._Fitter
     update, update_k1, run = fitter._update_group, fitter._update_k1, \
         fitter.run
-    solve, loop = solver._solve_on_support, solver._block_minimize
-    seen = {"exact": False, "loop": False}
+    solve, loop, pulls = (solver._solve_on_support, solver._block_minimize,
+                          solver._pulls)
+    seen = {"exact": False, "loop": False, "run": False}
 
     def solve_traced(*args, **kwargs):
         counts["tries"] += 1
@@ -68,6 +71,10 @@ def counting(solver, counts):
     def loop_traced(*args, **kwargs):
         seen["loop"] = True
         return loop(*args, **kwargs)
+
+    def pulls_traced(*args, **kwargs):
+        counts["sweeps"] += seen["run"]
+        return pulls(*args, **kwargs)
 
     def update_traced(self, j):
         seen["exact"] = seen["loop"] = False
@@ -88,34 +95,40 @@ def counting(solver, counts):
         update_k1(self, j)
 
     def run_traced(self):
+        seen["run"] = True
         try:
             return run(self)
         finally:
+            seen["run"] = False
             counts["fits"] += 1
             counts["passes"] += self.n_passes
 
     fitter._update_group, fitter._update_k1 = update_traced, update_k1_traced
     fitter.run = run_traced
-    solver._solve_on_support, solver._block_minimize = solve_traced, loop_traced
+    solver._solve_on_support, solver._block_minimize, solver._pulls = \
+        solve_traced, loop_traced, pulls_traced
     try:
         yield
     finally:
         fitter._update_group, fitter._update_k1 = update, update_k1
         fitter.run = run
-        solver._solve_on_support, solver._block_minimize = solve, loop
+        solver._solve_on_support, solver._block_minimize, solver._pulls = \
+            solve, loop, pulls
 
 
 def summary(counts) -> dict:
     """The counts with each move's share of all visits, the hit rate of
-    the exact solve and the passes per fit (None where there was none)."""
+    the exact solve and the passes and sweeps per fit (None where there was
+    none)."""
     visits = sum(counts[m] for m in MOVES)
     out = dict(counts, visits=visits)
     for m in MOVES:
         out[f"{m}_share"] = counts[m] / visits if visits else None
     out["hit_rate"] = counts["exact"] / counts["tries"] if counts["tries"] \
         else None
-    out["passes_per_fit"] = counts["passes"] / counts["fits"] \
-        if counts["fits"] else None
+    for key in ("passes", "sweeps"):
+        out[f"{key}_per_fit"] = counts[key] / counts["fits"] \
+            if counts["fits"] else None
     return out
 
 

@@ -77,15 +77,15 @@ class StandardizationMap:
         out = []
         if X is not None:
             X = np.asarray(X, dtype=float)
-            if X.shape[1] != self.n_predictors:
-                raise DimensionError(
-                    f"X has {X.shape[1]} columns, map expects {self.n_predictors}")
+            if X.ndim != 2 or X.shape[1] != self.n_predictors:
+                raise DimensionError(f"X must be 2-d with {self.n_predictors} "
+                                     f"columns, got shape {X.shape}")
             out.append((X - self.x_means) / self.x_scales)
         if Z is not None:
             Z = np.asarray(Z, dtype=float)
-            if Z.shape[1] != self.n_modifiers:
-                raise DimensionError(
-                    f"Z has {Z.shape[1]} columns, map expects {self.n_modifiers}")
+            if Z.ndim != 2 or Z.shape[1] != self.n_modifiers:
+                raise DimensionError(f"Z must be 2-d with {self.n_modifiers} "
+                                     f"columns, got shape {Z.shape}")
             out.append((Z - self.z_means) / self.z_scales)
         if y is not None:
             out.append(np.asarray(y, dtype=float) - self.y_mean)

@@ -16,8 +16,16 @@ cannot certify its result come the beta-only update and the loop; the
 residual takes one update per visit.  With a single modifier (K = 1) one
 exact block solve replaces all of these, so no prox iteration runs and
 ``n_prox_capped`` is always 0.
-Intercepts (beta0, theta0) are unpenalized and refreshed by least squares
-on (1, Z) at the start of every pass.  Data is assumed standardized (see preprocess); nothing here rescales.
+
+Each pass refreshes the unpenalized intercepts (beta0, theta0) by least
+squares on (1, Z), then visits a list of groups.  An active pass visits the
+groups with a nonzero block.  A full pass starts with the KKT report, one
+sweep of pulls over all groups: it returns the iterate if the pass before
+moved the objective by less than ``tol_obj`` (relative) and the report
+certifies it, else it visits the active groups and those the report finds
+failing their zero certificate.  The first pass is full, and so is the pass
+after one that settles or finds nothing active.  Data is assumed
+standardized (see preprocess); nothing here rescales.
 """
 
 from __future__ import annotations
@@ -67,18 +75,17 @@ class ProxSolveError(RuntimeError):
 class SolverConfig:
     """Solver settings.
 
-    ``tol_obj`` bounds the relative objective change over a full pass and
-    ``tol_kkt`` the largest subgradient violation; both must hold to declare
-    convergence.  ``screen`` toggles the zero-block certificate.
+    A fit is returned when the relative objective change over its last
+    pass is below ``tol_obj`` and the KKT report of the returned iterate
+    has no subgradient violation above ``tol_kkt``.
     ``max_prox_iters`` bounds only the joint-block loop, the fallback of
     the exact solve on the warm theta support (which has its own small
     Newton cap).  The loop returns a certified fixed point of the block's
     prox-gradient map or, cut at ``max_prox_iters`` steps and counted in
     ``n_prox_capped``, the lower of its last iterate and its start.  At K = 1
-    the exact block solve replaces both the per-block certificate and the
-    loop, so only the screening sweep of a full pass reads ``screen`` and
-    ``max_prox_iters`` is unused.  The standardization flags are consumed by
-    the path/CV drivers, not by fit_single_lambda.
+    the exact block solve replaces the loop, so ``max_prox_iters`` is
+    unused.  The standardization flags are consumed by the path/CV drivers,
+    not by fit_single_lambda.
     """
 
     alpha: float = 0.5
@@ -86,7 +93,6 @@ class SolverConfig:
     tol_kkt: float = 1e-4
     max_outer_iters: int = 1000
     max_prox_iters: int = 500
-    screen: bool = True
     standardize_x: bool = True
     standardize_z: bool = True
     center_y: bool = True
@@ -228,8 +234,8 @@ class Workspace:
     def block(self, j: int):
         """(D_j, G_j, 1/L_j) with D_j = [X_j, W_j], G_j = D_j'D_j / N and L_j
         the largest eigenvalue of G_j, the exact Lipschitz constant of the
-        block loss gradient.  The step is None at K = 1, whose exact block
-        solve takes no step."""
+        block loss gradient.  The step is None at K < 2, where no prox loop
+        runs."""
         got = self._block.get(j)
         if got is None:
             data = self.data
@@ -238,7 +244,7 @@ class Workspace:
             d[:, 1:] = interaction_block(data.X, data.Z, j)
             gram = d.T @ d / data.n_samples
             step = None
-            if data.n_modifiers != 1:
+            if data.n_modifiers > 1:
                 lip = float(np.linalg.eigvalsh(gram)[-1])
                 step = 1.0 / lip if lip > 0 else 1.0
             got = (d, gram, step)
@@ -639,19 +645,12 @@ class _Fitter:
     def _active(self):
         return (self.beta != 0.0) | self.rows
 
-    def _full_visit(self):
-        if not self.cfg.screen:
-            return range(self.data.n_predictors)
-        a, q = _pulls(self.data.X, self.data.Z, self.r)
-        fail = _zero_slack(a, q, self.rho, self.mu) > 0.0
-        return np.flatnonzero(self._active() | fail).tolist()
-
     def _update_group(self, j):
         """One K != 1 block visit.  A group with a theta row goes to the
         Gram-form visit (``_update_row``).  Any other group works on its
         partial residual r_{-j} = r + x_j b_j and tries, in order: the zero
-        certificate (inactive groups only), the beta-only soft-threshold
-        (these two when ``screen`` is on), and the joint prox loop."""
+        certificate (inactive groups only), the beta-only soft-threshold and
+        the joint prox loop."""
         if self.rows[j]:
             self._update_row(j)
             return
@@ -660,21 +659,20 @@ class _Fitter:
         x_j = data.X[:, j]
         b_old = self.beta[j]
         r_mj = self.r + x_j * b_old if b_old != 0.0 else self.r
-        if self.cfg.screen:
-            a = float(x_j @ r_mj) / n
-            if b_old == 0.0 and abs(a) <= self.rho and _zero_slack(
-                    a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
-                return
-            if self.ws.xnorm2[j] == 0.0:
-                raise ValueError(f"X column {j} is identically zero")
-            bhat = (math.copysign(abs(a) - self.rho, a) if abs(a) > self.rho
-                    else 0.0) * n / self.ws.xnorm2[j]
-            resid_b = r_mj - x_j * bhat
-            sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
-            if math.sqrt(sq @ sq) <= self.rho:
-                self.beta[j] = bhat
-                self.r = resid_b
-                return
+        a = float(x_j @ r_mj) / n
+        if b_old == 0.0 and abs(a) <= self.rho and _zero_slack(
+                a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
+            return
+        if self.ws.xnorm2[j] == 0.0:
+            raise ValueError(f"X column {j} is identically zero")
+        bhat = (math.copysign(abs(a) - self.rho, a) if abs(a) > self.rho
+                else 0.0) * n / self.ws.xnorm2[j]
+        resid_b = r_mj - x_j * bhat
+        sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
+        if math.sqrt(sq @ sq) <= self.rho:
+            self.beta[j] = bhat
+            self.r = resid_b
+            return
         d, gram, t = self.ws.block(j)
         g0 = np.zeros(data.n_modifiers + 1)
         g0[0] = b_old
@@ -690,9 +688,9 @@ class _Fitter:
         c = D_j'r/N + G_j g0 at the current block g0, so r_{-j} is never
         formed.  The exact solve on the row's support (``_solve_on_support``)
         goes first; only when it declines, or at rho = 0, come the beta-only
-        soft-threshold b = S(c_0, rho) / G_00 (when ``screen`` is on) and
-        then the joint prox loop, both on the same c.  The residual takes
-        one update, r -= D_j (g - g0)."""
+        soft-threshold b = S(c_0, rho) / G_00 and then the joint prox loop,
+        both on the same c.  The residual takes one update,
+        r -= D_j (g - g0)."""
         d, gram, t = self.ws.block(j)
         g0 = np.concatenate(([self.beta[j]], self.theta[j]))
         c = d.T @ self.r / self.data.n_samples + gram @ g0
@@ -701,7 +699,7 @@ class _Fitter:
         if rho > 0.0:
             g = _solve_on_support(gram, c, g0, rho, self.mu,
                                   self.ws.support(j, self.theta[j]))
-        if g is None and self.cfg.screen:
+        if g is None:
             if self.ws.xnorm2[j] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             c0 = c.item(0)
@@ -760,7 +758,7 @@ class _Fitter:
 
     def run(self):
         cfg = self.cfg
-        j_prev = np.inf
+        j_prev = rel = math.inf
         full_pass = True
         obj_trace = []
         update = (self._update_k1 if self.data.n_modifiers == 1
@@ -768,26 +766,27 @@ class _Fitter:
         while self.n_passes < cfg.max_outer_iters:
             self.n_passes += 1
             self._refresh_intercepts()
-            visit = (self._full_visit() if full_pass
-                     else np.flatnonzero(self._active()).tolist())
+            visit = [] if full_pass else np.flatnonzero(
+                self._active()).tolist()
+            if not visit:
+                # a full pass; the report is the certificate, not a quiet
+                # support, which can flip by one ulp forever at a tie
+                report = self._kkt()
+                certified = report.max_violation <= cfg.tol_kkt
+                if not (certified and rel < cfg.tol_obj):
+                    visit = np.flatnonzero(
+                        self._active() | (report.per_group > 0.0)).tolist()
+                # visiting nothing would leave the iterate as the report saw it
+                if certified and not visit:
+                    return self._build_fit(), FitDiagnostics(
+                        self.n_passes, report, tuple(obj_trace),
+                        self.n_prox_capped)
             for j in visit:
                 update(j)
             j_now = self._objective()
             obj_trace.append(j_now)
             rel = (j_prev - j_now) / max(1.0, abs(j_now))
-            if full_pass:
-                # the KKT report is the certificate; don't gate it on a
-                # quiet support, which can flip by one ulp forever when a
-                # group's pull ties its threshold exactly
-                if rel < cfg.tol_obj:
-                    report = self._kkt()
-                    if report.max_violation <= cfg.tol_kkt:
-                        return self._build_fit(), FitDiagnostics(
-                            self.n_passes, report, tuple(obj_trace),
-                            self.n_prox_capped)
-                full_pass = not self._active().any()
-            elif rel < cfg.tol_obj:
-                full_pass = True
+            full_pass = rel < cfg.tol_obj
             j_prev = j_now
         report = self._kkt()
         raise ConvergenceError(

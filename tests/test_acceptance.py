@@ -20,7 +20,8 @@ from plasso import (Dataset, SimSpec, SolverConfig, UnknownZConfig,
                     run_hte_scenario)
 from plasso.preprocess import standardize
 
-from oracles import lasso_cd, norm_equation_residuals, prox_oracle, soft
+from oracles import (kkt_per_group_oracle, lasso_cd, norm_equation_residuals,
+                     prox_oracle, soft, zero_threshold_oracle)
 import test_properties as props
 
 
@@ -97,11 +98,13 @@ def test_c02_kkt_along_path():
 
 
 # ---------------------------------------------------------------------------
-# 3. screening must be exact: identical supports with the certificate
-#    shortcuts on and off
+# 3. screening must be exact: every group left at zero has its zero
+#    threshold at or below the penalty at the final residual, and every fit
+#    meets its KKT conditions, both by the naive oracles
 
 def test_c03_screening_exact():
-    mismatches = []
+    misses = []
+    worst = 0.0
     for case in range(20):
         rng = np.random.default_rng(300 + case)
         n = int(rng.integers(60, 120))
@@ -112,18 +115,27 @@ def test_c03_screening_exact():
         y = (X[:, 0] - 2.0 * X[:, 1] + rng.standard_normal(n)
              + (X[:, 2] * Z[:, 0] if k else 0.0))
         data = Dataset(y, X, Z)
-        base = dict(alpha=0.5, tol_obj=1e-11, tol_kkt=1e-6,
-                    max_outer_iters=5000)
-        on = fit_path(data, SolverConfig(screen=True, **base), n_lambda=12)
-        off = fit_path(data, SolverConfig(screen=False, **base), n_lambda=12)
-        assert np.array_equal(on.lambdas, off.lambdas)
-        for i in range(on.n_lambdas):
-            if _support(on.fits[i]) != _support(off.fits[i]):
-                mismatches.append((case, i))
+        cfg = SolverConfig(alpha=0.5, tol_obj=1e-11, tol_kkt=1e-6,
+                           max_outer_iters=5000)
+        path = fit_path(data, cfg, n_lambda=12)
+        std, _ = standardize(data)
+        Xs, Zs = std.X, std.Z
+        for i, fit in enumerate(path.fits):
+            theta = fit.theta
+            worst = max(worst, float(kkt_per_group_oracle(
+                std.y, Xs, Zs, fit.beta0, fit.theta0, fit.beta, theta,
+                fit.lam, cfg.alpha).max()))
+            r = (std.y - fit.beta0 - Zs @ fit.theta0 - Xs @ fit.beta
+                 - np.einsum("ij,ik,jk->i", Xs, Zs, theta))
+            for j in np.flatnonzero((fit.beta == 0.0) & ~theta.any(axis=1)):
+                lam0 = zero_threshold_oracle(Xs[:, [j]], Zs, r, cfg.alpha)
+                if lam0 > fit.lam * (1.0 + 1e-9):
+                    misses.append((case, i, int(j)))
     _report("screening exactness",
-            not mismatches,
-            f"supports identical on 20 instances x 12 penalty levels"
-            + (f"; mismatches at {mismatches}" if mismatches else ""))
+            not misses and worst <= 1e-6,
+            f"zero groups certified by the threshold oracle and max KKT "
+            f"violation {worst:.2e} (tol 1e-6) on 20 instances x 12 penalty "
+            f"levels" + (f"; uncertified zeros at {misses}" if misses else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import plasso as P
 from plasso import cli
@@ -180,6 +181,27 @@ def test_bad_index_raises_and_never_wraps(case, value):
     with pytest.raises(IndexError, match=name):
         out = call(value)
         pytest.fail(f"{label}({value!r}) returned {out!r}")
+
+
+# (case, call on an X or Z array, the array's name, its column count)
+_SHAPE_CASES = [
+    ("PathResult.predict.X", lambda a: _PATH.predict(a, _Z), "X", 3),
+    ("PathResult.predict.Z", lambda a: _PATH.predict(_X, a), "Z", 2),
+    ("predict.X", lambda a: P.predict(_FIT, a, _Z), "X", 3),
+    ("predict.Z", lambda a: P.predict(_FIT, _X, a), "Z", 2),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(_SHAPE_CASES),
+       shape=st.lists(st.integers(0, 4), max_size=4))
+def test_bad_array_shape_raises_naming_it(case, shape):
+    # a 1-d X or Z used to raise a bare IndexError in PathResult.predict
+    label, call, name, cols = case
+    assume(len(shape) != 2 or shape[1] != cols)
+    with pytest.raises(P.DimensionError, match=rf"^{name} "):
+        out = call(np.ones(shape))
+        pytest.fail(f"{label}(shape {shape}) returned {out!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
-COUNTS = MOVES + ("tries", "row_visits", "fits", "passes")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps")
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +37,10 @@ def test_every_visit_counts_under_one_move(report):
 def test_passes_per_fit(report):
     for entry in report["workloads"].values():
         for row in entry["inputs"] + [entry["total"]]:
-            assert row["passes"] >= row["fits"] > 0
+            # every fit takes at least one sweep, and no pass takes two
+            assert 0 < row["fits"] <= row["sweeps"] <= row["passes"]
             assert row["passes_per_fit"] == row["passes"] / row["fits"]
+            assert row["sweeps_per_fit"] == row["sweeps"] / row["fits"]
 
 
 def test_moves_follow_the_number_of_modifiers(report):

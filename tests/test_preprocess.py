@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plasso.model import Dataset, DimensionError, PliableFit, predict
 from plasso.preprocess import (StandardizationError, StandardizationMap,
@@ -139,3 +140,47 @@ class TestDestandardize:
         with pytest.raises(DimensionError):
             destandardize_fit(PliableFit.zeros(3, 1),
                               identity_map(2, 1))
+
+
+def _random_map(rng, p, k, standardize_x, standardize_z, center_y, spread):
+    """A map with means and scales spread over 10^-spread .. 10^spread;
+    disabled blocks carry identity parameters, as ``standardize`` gives."""
+    def stats(m, on):
+        if not on:
+            return np.zeros(m), np.ones(m)
+        scales = 10.0 ** rng.uniform(-spread, spread, m)
+        return rng.standard_normal(m) * 10.0 ** rng.uniform(0, spread, m), \
+            scales
+    x_means, x_scales = stats(p, standardize_x)
+    z_means, z_scales = stats(k, standardize_z)
+    y_mean = float(rng.standard_normal() * 10.0) if center_y else 0.0
+    return StandardizationMap(x_means, x_scales, z_means, z_scales, y_mean,
+                              standardize_x, standardize_z, center_y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
+       k=st.integers(0, 4), density=st.floats(0.0, 1.0),
+       flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       spread=st.floats(0.0, 2.0))
+def test_destandardize_round_trip(seed, p, k, density, flags, spread):
+    # the raw fit on raw (X, Z) predicts what the standardized fit predicts
+    # on the standardized (X, Z), plus the response mean
+    rng = np.random.default_rng(seed)
+    smap = _random_map(rng, p, k, *flags, spread)
+    fit = random_fit(rng, p, k, density)
+    raw = destandardize_fit(fit, smap)
+    X = smap.x_means + smap.x_scales * rng.standard_normal((7, p))
+    Z = smap.z_means + smap.z_scales * rng.standard_normal((7, k))
+    got = predict(raw, X, Z)
+    want = predict(fit, *smap.transform(X, Z)) + smap.y_mean
+    # rounding grows with the largest term of the raw prediction
+    size = (abs(raw.beta0) + np.abs(Z) @ np.abs(raw.theta0)
+            + np.abs(X) @ np.abs(raw.beta)
+            + np.einsum("ij,ik,jk->i", np.abs(X), np.abs(Z),
+                        np.abs(raw.theta)))
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * (1.0 + size))
+    # zero rows stay zero, and so does the main effect of a zero block
+    assert sorted(raw.theta_rows) == sorted(fit.theta_rows)
+    zero = (fit.beta == 0.0) & ~fit.theta.any(axis=1)
+    assert not raw.beta[zero].any()

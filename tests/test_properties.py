@@ -399,9 +399,9 @@ def test_exact_joint_solve_is_certified_or_declines(seed, n, k, design, warm,
                                "collinear")),
        lam=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
        alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-       screen=st.booleans(), visits=st.integers(1, 2), lean=st.booleans())
-def test_row_visit_meets_block_oracle(seed, n, k, design, lam, alpha, screen,
-                                      visits, lean):
+       visits=st.integers(1, 2), lean=st.booleans())
+def test_row_visit_meets_block_oracle(seed, n, k, design, lam, alpha, visits,
+                                      lean):
     # a visit of a group with a theta row, whichever move ends it: the
     # exact solve on the row's support, the beta-only soft-threshold (also
     # to the zero block) or the joint prox loop; the random warm row mostly
@@ -433,8 +433,7 @@ def test_row_visit_meets_block_oracle(seed, n, k, design, lam, alpha, screen,
     row = np.where(rng.random(k) < 0.6, rng.standard_normal(k), 0.0)
     row[rng.integers(k)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0)
     warm = PliableFit(0.0, np.zeros(k), np.array([rng.normal()]), {0: row})
-    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=100_000,
-                       screen=screen)
+    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=100_000)
     fitter = _Fitter(data, lam, cfg, warm, Workspace(data))
     d = np.column_stack([x, x[:, None] * Z])
     scale = max(1.0, float(np.abs(d.T @ y).max()) / n)

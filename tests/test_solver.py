@@ -395,15 +395,6 @@ class TestFitSingleLambda:
         assert trace.size >= 1
         assert np.all(np.diff(trace) <= 1e-12)
 
-    def test_screening_does_not_change_answer(self):
-        rng = np.random.default_rng(11)
-        data = toy_data(rng, n=50)
-        tight = dict(tol_kkt=1e-9, tol_obj=1e-13)
-        a = fit_single_lambda(data, 0.1, SolverConfig(screen=True, **tight))
-        b = fit_single_lambda(data, 0.1, SolverConfig(screen=False, **tight))
-        np.testing.assert_allclose(a.beta, b.beta, atol=1e-7)
-        np.testing.assert_allclose(a.theta, b.theta, atol=1e-7)
-
     def test_zero_lambda_reaches_least_squares(self):
         rng = np.random.default_rng(12)
         cfg = SolverConfig(tol_kkt=1e-9, tol_obj=1e-13)
@@ -570,6 +561,69 @@ class TestFitSingleLambda:
             data = toy_data(rng, n=50)
             fit = fit_single_lambda(data, lam)
             assert satisfies_hierarchy(fit)
+
+
+class TestFullPass:
+    """A full pass takes one sweep of pulls over all groups (``_pulls``),
+    after its intercept refresh; the sweep gives both the KKT report and
+    the groups to visit."""
+
+    @staticmethod
+    def _passes(monkeypatch, data, lam, **kwargs):
+        """Fit at lam and return the fit, its diagnostics and, per pass,
+        the residuals of the sweeps that pass took."""
+        passes = []
+        pulls = plasso.solver._pulls
+        refresh = plasso.solver._Fitter._refresh_intercepts
+
+        def pulls_traced(X, Z, r):
+            passes[-1].append(r.copy())
+            return pulls(X, Z, r)
+
+        def refresh_traced(self):
+            passes.append([])
+            refresh(self)
+
+        monkeypatch.setattr(plasso.solver, "_pulls", pulls_traced)
+        monkeypatch.setattr(plasso.solver._Fitter, "_refresh_intercepts",
+                            refresh_traced)
+        fit, diag = fit_single_lambda(data, lam, return_diagnostics=True,
+                                      **kwargs)
+        monkeypatch.undo()
+        return fit, diag, passes
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize("frac", [0.5, 0.1, 0.01])
+    def test_one_sweep_per_full_pass(self, monkeypatch, k, frac):
+        rng = np.random.default_rng(20 + k)
+        data = toy_data(rng, n=60, p=8, k=max(k, 1))
+        if k == 0:
+            data = Dataset(data.y, data.X)
+        lam = frac * lambda_max(data, 0.5)
+        fit, diag, passes = self._passes(monkeypatch, data, lam)
+        assert len(passes) == diag.n_passes
+        # a pass takes no sweep (an active pass) or one (a full pass); the
+        # first and the last are full
+        assert all(len(sweeps) <= 1 for sweeps in passes)
+        assert len(passes[0]) == len(passes[-1]) == 1
+        # the last sweep is the report of the returned coefficients
+        np.testing.assert_allclose(passes[-1][0],
+                                   data.y - predict(fit, data.X, data.Z),
+                                   rtol=0.0, atol=1e-12)
+        assert diag.kkt.max_violation <= SolverConfig().tol_kkt
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_cold_fit_at_lambda_max_is_one_sweep(self, monkeypatch, k):
+        rng = np.random.default_rng(30 + k)
+        data = toy_data(rng, n=60, p=8, k=max(k, 1))
+        if k == 0:
+            data = Dataset(data.y, data.X)
+        lam = lambda_max(data, 0.5)
+        fit, diag, passes = self._passes(monkeypatch, data, lam)
+        assert fit.n_nonzero_beta == 0 and not fit.theta_rows
+        # visiting nothing leaves the iterate its own report certified
+        assert diag.n_passes <= 2
+        assert [len(sweeps) for sweeps in passes] == [1] * diag.n_passes
 
 
 class TestExactK1:
