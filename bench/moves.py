@@ -28,10 +28,11 @@ group that had a theta row, ``tries`` the calls of the exact solve, and
 ``hit_rate`` is exact / tries.  ``fits`` counts the single-level fits
 (``_Fitter.run``), ``passes`` their passes and ``sweeps`` the sweeps of
 pulls over all groups they take (calls of ``solver._pulls`` inside
-``_Fitter.run``, not those of ``lambda_max``); ``passes_per_fit`` and
-``sweeps_per_fit`` are passes / fits and sweeps / fits.  Prints one JSON
+``_Fitter.run``, not those of ``lambda_max``); ``visits`` is the sum of
+the move counts, and ``passes_per_fit``, ``sweeps_per_fit`` and
+``visits_per_fit`` are passes, sweeps and visits over fits.  Prints one JSON
 object: per workload, one row per input and their total, each with the
-count and share of every move and the pass and sweep counts.
+count and share of every move and the pass, sweep and visit counts.
 """
 
 from __future__ import annotations
@@ -118,16 +119,16 @@ def counting(solver, counts):
 
 def summary(counts) -> dict:
     """The counts with each move's share of all visits, the hit rate of
-    the exact solve and the passes and sweeps per fit (None where there was
-    none)."""
+    the exact solve and the passes, sweeps and visits per fit (None where
+    there was none)."""
     visits = sum(counts[m] for m in MOVES)
     out = dict(counts, visits=visits)
     for m in MOVES:
         out[f"{m}_share"] = counts[m] / visits if visits else None
     out["hit_rate"] = counts["exact"] / counts["tries"] if counts["tries"] \
         else None
-    for key in ("passes", "sweeps"):
-        out[f"{key}_per_fit"] = counts[key] / counts["fits"] \
+    for key in ("passes", "sweeps", "visits"):
+        out[f"{key}_per_fit"] = out[key] / counts["fits"] \
             if counts["fits"] else None
     return out
 

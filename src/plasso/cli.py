@@ -252,7 +252,8 @@ def _add_solver_flags(p):
     p.add_argument("--lambda-min-ratio", type=_min_ratio, default=None)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--tol", type=float, default=1e-4,
-                   help="optimality (subgradient) tolerance")
+                   help="the only stopping tolerance: a fit is returned "
+                        "once no KKT (subgradient) violation exceeds it")
 
 
 def build_parser() -> argparse.ArgumentParser:

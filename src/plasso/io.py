@@ -398,6 +398,9 @@ def load_model(path) -> LoadedModel:
             f"{where}: 'fits' has {len(fits)} entries, 'lambdas' "
             f"{len(lambdas)}")
     lambdas = np.asarray(lambdas, dtype=float)
+    # the map's lists bound p and k before any (p,) array is allocated
+    smap = _smap_from_dict(_need(doc, "standardization", where, dict),
+                           p, k, f"{where}: standardization")
     fits = tuple(_fit_from_dict(d, p, k, lam, alpha, f"{where}: fits[{i}]")
                  for i, (d, lam) in enumerate(zip(fits, lambdas)))
     cv = doc.get("cv")
@@ -411,9 +414,7 @@ def load_model(path) -> LoadedModel:
                                       and all(isinstance(c, str) for c in names)):
             raise DataFormatError(f"{where}: {key!r} is not a list of names")
     return LoadedModel(
-        alpha=alpha, lambdas=lambdas, fits=fits,
-        smap=_smap_from_dict(_need(doc, "standardization", where, dict),
-                             p, k, f"{where}: standardization"),
+        alpha=alpha, lambdas=lambdas, fits=fits, smap=smap,
         diagnostics=_diagnostics_from_list(
             _need(doc, "diagnostics", where, list), len(fits), where),
         x_columns=doc.get("x_columns"), z_columns=doc.get("z_columns"),

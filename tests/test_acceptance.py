@@ -53,8 +53,8 @@ def test_c01_lasso_reduction():
     # standardize here so both solvers see identical coordinates
     Xs = (X - X.mean(axis=0)) / X.std(axis=0)
     alpha = 0.5
-    cfg = SolverConfig(alpha=alpha, tol_obj=1e-12, tol_kkt=1e-8,
-                       standardize_x=False, standardize_z=False)
+    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-8, standardize_x=False,
+                       standardize_z=False)
     path = fit_path(Dataset(y, Xs), cfg, n_lambda=50)
 
     worst = 0.0
@@ -115,8 +115,7 @@ def test_c03_screening_exact():
         y = (X[:, 0] - 2.0 * X[:, 1] + rng.standard_normal(n)
              + (X[:, 2] * Z[:, 0] if k else 0.0))
         data = Dataset(y, X, Z)
-        cfg = SolverConfig(alpha=0.5, tol_obj=1e-11, tol_kkt=1e-6,
-                           max_outer_iters=5000)
+        cfg = SolverConfig(alpha=0.5, tol_kkt=1e-6, max_outer_iters=5000)
         path = fit_path(data, cfg, n_lambda=12)
         std, _ = standardize(data)
         Xs, Zs = std.X, std.Z

@@ -69,8 +69,6 @@ _CASES = [
     ("prox_group.l1", lambda v: P.prox_group(np.ones(3), 0.1, v),
      "threshold", _LAM),
     ("SolverConfig.alpha", lambda v: P.SolverConfig(alpha=v), "alpha", _ALPHA),
-    ("SolverConfig.tol_obj", lambda v: P.SolverConfig(tol_obj=v), "tol_obj",
-     _bad_real(0.0, low_open=True)),
     ("SolverConfig.tol_kkt", lambda v: P.SolverConfig(tol_kkt=v), "tol_kkt",
      _bad_real(0.0, low_open=True)),
     ("SolverConfig.max_outer_iters",
@@ -435,9 +433,11 @@ def _argv(draw, files):
             argv += [flag, value]
     if cmd in ("fit", "cv", "unknownz"):
         # a named column the file lacks is a data error; the test rows have
-        # no response column y, but x1 may serve as one
-        bad_file = bad_file or "nope" in picked.values() or (
-            data == "test" and picked.get("--y-col") != "x1")
+        # no response column y, as response (the default) or as a modifier
+        columns = {"x1", "x2", "x3", "z1"} | ({"y"} if data == "good" else set())
+        named = [picked.get("--y-col", "y")] + [
+            c for c in picked.get("--z-cols", "").split(",") if c]
+        bad_file = bad_file or not columns.issuperset(named)
     # keep the built-in experiments small
     if cmd in ("hte", "unknownz") and "--folds" not in argv:
         argv += ["--folds", "2"]

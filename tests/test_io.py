@@ -241,6 +241,11 @@ def _negative_passes(doc):
     doc["diagnostics"][2]["n_passes"] = -1
 
 
+def _huge_n_predictors(doc):
+    # a (p,) array of this size would take 16 GB
+    doc["n_predictors"] = 2_000_000_000
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("mutate, message", [
         (_drop_alpha, r"missing key 'alpha'"),
@@ -258,11 +263,13 @@ class TestMalformedModelFile:
          r"diagnostics\[3\]: 'n_prox_capped' is not an integer >= 0"),
         (_negative_passes,
          r"diagnostics\[2\]: 'n_passes' is not an integer >= 0"),
+        (_huge_n_predictors,
+         r"standardization: 'x_means' is not a list of 2000000000 "),
     ], ids=["missing_key", "negative_beta_index", "beta_index_ge_p",
             "theta_index_ge_k", "fits_lambdas_mismatch", "junk_diagnostics",
             "short_diagnostics", "negative_prox_capped",
             "fractional_prox_capped", "null_prox_capped",
-            "negative_diagnostics_count"])
+            "negative_diagnostics_count", "n_predictors_beyond_the_map"])
     def test_rejected_with_offending_entry(self, tmp_path, mutate, message):
         _, path, _ = small_path()
         f = tmp_path / "model.json"

@@ -39,8 +39,8 @@ def test_passes_per_fit(report):
         for row in entry["inputs"] + [entry["total"]]:
             # every fit takes at least one sweep, and no pass takes two
             assert 0 < row["fits"] <= row["sweeps"] <= row["passes"]
-            assert row["passes_per_fit"] == row["passes"] / row["fits"]
-            assert row["sweeps_per_fit"] == row["sweeps"] / row["fits"]
+            for key in ("passes", "sweeps", "visits"):
+                assert row[f"{key}_per_fit"] == row[key] / row["fits"]
 
 
 def test_moves_follow_the_number_of_modifiers(report):

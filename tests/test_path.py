@@ -142,7 +142,7 @@ class TestFitPath:
     def test_warm_start_agrees_with_cold(self):
         rng = np.random.default_rng(26)
         data = signal_data(rng, n=60)
-        cfg = SolverConfig(tol_kkt=1e-8, tol_obj=1e-12)
+        cfg = SolverConfig(tol_kkt=1e-8)
         path = fit_path(data, cfg, n_lambda=8)
         std, _ = standardize(data, True, True, True)
         for i in (3, 5, 7):

@@ -16,6 +16,7 @@ from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
 
 from oracles import (lasso_cd, norm_equation_residuals, prox_objective,
                      prox_oracle, satisfies_hierarchy)
+from test_properties import objective_spy
 
 
 def toy_data(rng, n=60, p=5, k=3, snr=3.0):
@@ -173,12 +174,17 @@ class TestSolverConfig:
                                              ">= 1"):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["tol_obj", "tol_kkt"])
+    @pytest.mark.parametrize("field", ["tol_kkt"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-8])
     def test_tolerance_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and "
                                              "finite"):
             SolverConfig(**{field: value})
+
+    def test_objective_tolerance_is_gone(self):
+        # the KKT report is the only stopping rule
+        with pytest.raises(TypeError, match="tol_obj"):
+            SolverConfig(tol_obj=1e-8)
 
 
 class TestSingleBlockOps:
@@ -227,7 +233,7 @@ class TestSingleBlockOps:
     def test_converged_block_is_prox_fixed_point(self):
         rng = np.random.default_rng(5)
         data = toy_data(rng, n=50, p=1, k=2)
-        cfg = SolverConfig(tol_kkt=1e-10, tol_obj=1e-14)
+        cfg = SolverConfig(tol_kkt=1e-10)
         lam, t = 0.05, 0.01
         fit = fit_single_lambda(data, lam, cfg)
         assert fit.beta[0] != 0.0 and 0 in fit.theta_rows
@@ -373,7 +379,7 @@ class TestFitSingleLambda:
     def test_kkt_within_tolerance_and_perturbation_hurts(self):
         rng = np.random.default_rng(9)
         data = toy_data(rng, n=60)
-        cfg = SolverConfig(tol_kkt=1e-8, tol_obj=1e-12)
+        cfg = SolverConfig(tol_kkt=1e-8)
         lam = 0.08
         fit, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
         assert diag.kkt.max_violation <= 1e-8
@@ -390,14 +396,15 @@ class TestFitSingleLambda:
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(10)
         data = toy_data(rng, n=60)
-        _, diag = fit_single_lambda(data, 0.05, return_diagnostics=True)
-        trace = np.array(diag.objective_per_pass)
-        assert trace.size >= 1
+        with objective_spy() as trace:
+            _, diag = fit_single_lambda(data, 0.05, return_diagnostics=True)
+        # before and after each pass's intercept refresh
+        assert len(trace) == 2 * diag.n_passes >= 2
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_zero_lambda_reaches_least_squares(self):
         rng = np.random.default_rng(12)
-        cfg = SolverConfig(tol_kkt=1e-9, tol_obj=1e-13)
+        cfg = SolverConfig(tol_kkt=1e-9)
         # k = 1 takes the exact block solve, k = 2 the prox loop
         for k in (2, 1):
             data = toy_data(rng, n=60, p=3, k=k)
@@ -420,7 +427,7 @@ class TestFitSingleLambda:
         data = Dataset(y, X, None)
         alpha = 0.4
         lam = 0.3
-        cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, tol_obj=1e-14)
+        cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10)
         fit = fit_single_lambda(data, lam, cfg)
         b0_ref, beta_ref = lasso_cd(X, y, (1.0 - alpha) * lam)
         np.testing.assert_allclose(fit.beta, beta_ref, atol=1e-6)
@@ -429,7 +436,7 @@ class TestFitSingleLambda:
     def test_warm_start_matches_cold(self):
         rng = np.random.default_rng(14)
         data = toy_data(rng, n=50)
-        cfg = SolverConfig(tol_kkt=1e-9, tol_obj=1e-13)
+        cfg = SolverConfig(tol_kkt=1e-9)
         cold = fit_single_lambda(data, 0.06, cfg)
         warm_src = fit_single_lambda(data, 0.2, cfg)
         warm = fit_single_lambda(data, 0.06, cfg, warm=warm_src)
@@ -445,7 +452,7 @@ class TestFitSingleLambda:
     def test_convergence_error_carries_iterate(self):
         rng = np.random.default_rng(15)
         data = toy_data(rng, n=60)
-        cfg = SolverConfig(max_outer_iters=1, tol_kkt=1e-14, tol_obj=1e-16)
+        cfg = SolverConfig(max_outer_iters=1, tol_kkt=1e-14)
         with pytest.raises(ConvergenceError) as info:
             fit_single_lambda(data, 0.01, cfg)
         err = info.value
@@ -526,10 +533,12 @@ class TestFitSingleLambda:
         data = collinear_z_data(np.random.default_rng(32))
         lam = 1e-3 * lambda_max(data, 0.5)
         cfg = SolverConfig(alpha=0.5, max_prox_iters=cap, **RAW)
-        _, diag = fit_single_lambda(data, lam, cfg, return_diagnostics=True)
+        with objective_spy() as obj:
+            _, diag = fit_single_lambda(data, lam, cfg,
+                                        return_diagnostics=True)
         assert len(rises) == diag.n_prox_capped > 0
         assert max(rises) <= 1e-12
-        obj = diag.objective_per_pass
+        assert len(obj) >= 2
         assert all(b <= a + 1e-12 * max(1.0, abs(a))
                    for a, b in zip(obj, obj[1:]))
 
@@ -624,6 +633,26 @@ class TestFullPass:
         # visiting nothing leaves the iterate its own report certified
         assert diag.n_passes <= 2
         assert [len(sweeps) for sweeps in passes] == [1] * diag.n_passes
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_certified_warm_start_returns_at_once(self, k):
+        # the first pass is full, so a warm start its report certifies comes
+        # back after that one pass, with only the intercepts refitted
+        rng = np.random.default_rng(40 + k)
+        data = toy_data(rng, n=60, p=8, k=max(k, 1))
+        if k == 0:
+            data = Dataset(data.y, data.X)
+        lam = 0.1 * lambda_max(data, 0.5)
+        fit = fit_single_lambda(data, lam)
+        assert fit.n_nonzero_beta > 0 and bool(fit.theta_rows) == (k > 0)
+        again, diag = fit_single_lambda(data, lam, warm=fit,
+                                        return_diagnostics=True)
+        assert diag.n_passes == 1
+        np.testing.assert_array_equal(again.beta, fit.beta)
+        np.testing.assert_array_equal(again.theta, fit.theta)
+        assert abs(again.beta0 - fit.beta0) <= 1e-12
+        np.testing.assert_allclose(again.theta0, fit.theta0, rtol=0.0,
+                                   atol=1e-12)
 
 
 class TestExactK1:
