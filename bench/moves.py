@@ -20,8 +20,8 @@ the move that set its block:
 - ``loop``: the joint prox loop (``_block_minimize``) ran;
 - ``beta``: neither, and the block ends with beta_j != 0 and no theta row
   (the beta-only soft-threshold);
-- ``zero``: neither, and the block ends all-zero (the zero certificate, or
-  a beta-only move to zero).
+- ``zero``: neither, and the block ends all-zero: at K >= 2 the visit has
+  no zero certificate of its own, so this is a beta-only move to zero.
 
 Each K = 1 visit counts as ``k1``.  ``row_visits`` counts the visits to a
 group that had a theta row, ``tries`` the calls of the exact solve, and

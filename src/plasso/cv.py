@@ -62,6 +62,28 @@ def _check_n_folds(n_folds, n, name="n_folds"):
                          f"with {n} rows, got {n_folds!r}")
 
 
+def _check_folds(folds, n):
+    """The fold labels ``folds`` as an int array, or ValueError naming
+    ``folds`` unless it holds one finite, integer-valued label per row and
+    every fold leaves at least 2 training rows (so there are two folds)."""
+    labels = np.asarray(folds, dtype=float)
+    if labels.shape != (n,):
+        raise ValueError("folds must assign one fold id per row")
+    # NaN and inf fail the first test; every integer below 2^53 is exact
+    bad = np.flatnonzero(~(np.abs(labels) < 2.0**53)
+                         | (np.round(labels) != labels))
+    if bad.size:
+        raise ValueError(f"folds must hold finite integer fold ids, got "
+                         f"{labels[bad[0]].item()!r} at row {bad[0]}")
+    ids = labels.astype(int)
+    names, sizes = np.unique(ids, return_counts=True)
+    if n - sizes.max() < 2:
+        raise ValueError(f"folds must name at least two folds, each leaving "
+                         f"at least 2 training rows; fold "
+                         f"{names[np.argmax(sizes)]} leaves {n - sizes.max()}")
+    return ids
+
+
 def _fold_errors(data, cfg, grid, ids, f):
     """Held-out mean squared error along ``grid`` of the path refit without
     the rows of fold ``f``."""
@@ -101,12 +123,8 @@ def k_fold_cv(data: Dataset, config: SolverConfig | None = None,
         _check_int(seed, "seed", 0)
         ids = _fold_ids(data.n_samples, n_folds, seed)
     else:
-        ids = np.asarray(folds, dtype=int)
-        if ids.shape != (data.n_samples,):
-            raise ValueError("folds must assign one fold id per row")
+        ids = _check_folds(folds, data.n_samples)
     labels = np.unique(ids)
-    if labels.size < 2:
-        raise ValueError("need at least two folds")
     path = fit_path(data, cfg, n_lambda=n_lambda,
                     lambda_min_ratio=lambda_min_ratio)
     grid = path.lambdas

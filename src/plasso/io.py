@@ -11,12 +11,12 @@ import contextlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .model import PliableFit, _check_index, predict
-from .path import PathResult
+from .path import LambdaDiagnostics, PathResult
 from .preprocess import StandardizationMap
 
 __all__ = [
@@ -232,8 +232,9 @@ def _fit_from_dict(d: dict, p: int, k: int, lam: float, alpha: float,
                       beta, rows, lam, alpha)
 
 
-_DIAGNOSTIC_COUNTS = ("n_passes", "n_active_groups", "n_active_theta_rows",
-                      "n_prox_capped")
+# the keys of a diagnostics entry are the fields of LambdaDiagnostics
+_DIAGNOSTIC_COUNTS = tuple(f.name for f in fields(LambdaDiagnostics)
+                           if f.name != "kkt_max")
 
 
 def _diagnostics_from_list(diags: list, n: int, where: str) -> tuple:
@@ -301,11 +302,7 @@ def save_model(path, result: PathResult, cv=None, invocation=None,
         "standardization": _smap_to_dict(result.smap),
         "fits": [_fit_to_dict(result.fit_raw(i))
                  for i in range(result.n_lambdas)],
-        "diagnostics": [
-            {"n_passes": d.n_passes, "n_active_groups": d.n_active_groups,
-             "n_active_theta_rows": d.n_active_theta_rows,
-             "kkt_max": d.kkt_max, "n_prox_capped": d.n_prox_capped}
-            for d in result.diagnostics],
+        "diagnostics": [asdict(d) for d in result.diagnostics],
     }
     if x_columns is not None:
         doc["x_columns"] = list(x_columns)

@@ -5,17 +5,15 @@ Each predictor j owns a block (beta_j, theta_j) penalized by
     (1-alpha) lam (||(beta_j, theta_j)||_2 + ||theta_j||_2)
     + alpha lam ||theta_j||_1 .
 
-A visit to a group without a theta row works on its partial residual and
-tries, in order: a cheap certificate that the whole block is zero, a
-soft-threshold update for beta_j with theta_j pinned at zero, and a
-proximal gradient loop on the joint block.  A group with a theta row is
-visited in Gram form, its pull taken from the cached block Gram matrix: an
-exact solve of the joint block on the support and signs of its theta row
-goes first (when the group penalty is positive), and only when that solve
-cannot certify its result come the beta-only update and the loop; the
-residual takes one update per visit.  With a single modifier (K = 1) one
-exact block solve replaces all of these, so no prox iteration runs and
-``n_prox_capped`` is always 0.
+Every visit works in Gram form: it takes the pull of the partial residual
+on the block from the running residual and the block's Gram matrix, and the
+residual takes one update.  A group with a theta row first tries an exact
+solve of the joint block on the support and signs of that row (when the
+group penalty is positive); then, on the same pull, come a soft-threshold
+update for beta_j with theta_j pinned at zero and a proximal gradient loop
+on the joint block.  With a single modifier (K = 1) one exact block solve
+replaces all of these, so no prox iteration runs and ``n_prox_capped`` is
+always 0.
 
 Each pass refreshes the unpenalized intercepts (beta0, theta0) by least
 squares on (1, Z), then visits a list of groups.  An active pass visits the
@@ -215,14 +213,17 @@ def prox_group(z, c, l1):
 class Workspace:
     """Per-dataset caches reused across a path: the joint-move blocks of
     groups that take one (of every visited group when K = 1), the
-    eigenbases of the exact joint solve per group and theta support, column
-    norms, and the intercept projector."""
+    eigenbases of the exact joint solve per group and theta support, the
+    first column of every block Gram matrix, and the intercept design
+    A = [1, Z] (as A'/N) with its projector."""
 
     def __init__(self, data: Dataset):
         self.data = data
-        X = data.X
-        self.xnorm2 = np.einsum("ij,ij->j", X, X)
         A = np.column_stack([np.ones(data.n_samples), data.Z])
+        # A'/N for A = [1, Z]: D_j'v / N = (A'/N)(x_j o v) for every group j
+        self.at = A.T / data.n_samples
+        # row j is G_j[:, 0] = D_j'x_j / N; its entry 0 is ||x_j||^2 / N
+        self.gram0 = (self.at @ np.square(data.X)).T
         # pseudoinverse handles a rank-deficient Z (e.g. Z identically zero)
         # with the minimum-norm intercepts instead of failing mid-fit
         self._a_pinv = np.linalg.pinv(A)
@@ -645,71 +646,52 @@ class _Fitter:
         return (self.beta != 0.0) | self.rows
 
     def _update_group(self, j):
-        """One K != 1 block visit.  A group with a theta row goes to the
-        Gram-form visit (``_update_row``).  Any other group works on its
-        partial residual r_{-j} = r + x_j b_j and tries, in order: the zero
-        certificate (inactive groups only), the beta-only soft-threshold and
-        the joint prox loop."""
-        if self.rows[j]:
-            self._update_row(j)
-            return
-        data = self.data
-        n = data.n_samples
-        x_j = data.X[:, j]
-        b_old = self.beta[j]
-        r_mj = self.r + x_j * b_old if b_old != 0.0 else self.r
-        a = float(x_j @ r_mj) / n
-        if b_old == 0.0 and abs(a) <= self.rho and _zero_slack(
-                a, data.Z.T @ (x_j * r_mj) / n, self.rho, self.mu) <= 0.0:
-            return
-        if self.ws.xnorm2[j] == 0.0:
-            raise ValueError(f"X column {j} is identically zero")
-        bhat = (math.copysign(abs(a) - self.rho, a) if abs(a) > self.rho
-                else 0.0) * n / self.ws.xnorm2[j]
-        resid_b = r_mj - x_j * bhat
-        sq = soft_threshold(data.Z.T @ (x_j * resid_b) / n, self.mu)
-        if math.sqrt(sq @ sq) <= self.rho:
-            self.beta[j] = bhat
-            self.r = resid_b
-            return
-        d, gram, t = self.ws.block(j)
-        g0 = np.zeros(data.n_modifiers + 1)
+        """One K != 1 block visit, in Gram form like the K = 1 visit: the
+        pull of the partial residual is c = D_j'r/N + G_j g0 at the current
+        block g0, so r_{-j} is never formed.  A group with a theta row takes
+        D_j and G_j from its cached block; any other group takes
+        D_j'r/N = (A'/N)(x_j o r) and G_j's first column from the
+        workspace, and caches a block only if the loop runs.  On that c, in
+        order: the exact solve on the row's support (``_solve_on_support``;
+        rows only, at rho > 0), the beta-only soft-threshold
+        b = S(c_0, rho) / G_00 with theta pinned at zero, and the joint prox
+        loop.  The beta-only test is the subgradient condition of (b, 0), so
+        at b = 0 it is the zero certificate, and the visit needs no
+        certificate of its own.  The residual takes one update."""
+        ws, rho = self.ws, self.rho
+        b_old = self.beta.item(j)
+        col = ws.gram0[j]
+        g0 = np.zeros(col.size)
         g0[0] = b_old
-        g, stopped = _block_minimize(gram, d.T @ r_mj / n, g0, self.rho,
-                                     self.mu, t, self.cfg)
-        self.n_prox_capped += not stopped
-        self._set_block(j, g)
-        self.r = r_mj - d @ g
-
-    def _update_row(self, j):
-        """The visit of a group whose theta row is nonzero, in Gram form
-        like the K = 1 visit: the pull of the partial residual is
-        c = D_j'r/N + G_j g0 at the current block g0, so r_{-j} is never
-        formed.  The exact solve on the row's support (``_solve_on_support``)
-        goes first; only when it declines, or at rho = 0, come the beta-only
-        soft-threshold b = S(c_0, rho) / G_00 and then the joint prox loop,
-        both on the same c.  The residual takes one update,
-        r -= D_j (g - g0)."""
-        d, gram, t = self.ws.block(j)
-        g0 = np.concatenate(([self.beta[j]], self.theta[j]))
-        c = d.T @ self.r / self.data.n_samples + gram @ g0
-        rho = self.rho
         g = None
-        if rho > 0.0:
-            g = _solve_on_support(gram, c, g0, rho, self.mu,
-                                  self.ws.support(j, self.theta[j]))
+        if self.rows[j]:
+            d, gram, t = ws.block(j)
+            g0[1:] = self.theta[j]
+            c = d.T @ self.r / self.data.n_samples + gram @ g0
+            if rho > 0.0:
+                g = _solve_on_support(gram, c, g0, rho, self.mu,
+                                      ws.support(j, self.theta[j]))
+        else:
+            x_j = self.data.X[:, j]
+            c = ws.at @ (x_j * self.r) + b_old * col
         if g is None:
-            if self.ws.xnorm2[j] == 0.0:
+            if col.item(0) == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             c0 = c.item(0)
-            bhat = (math.copysign(abs(c0) - rho, c0) / gram.item(0, 0)
-                    if abs(c0) > rho else 0.0)
-            # the theta pull at (bhat, 0)
-            sq = soft_threshold(c[1:] - bhat * gram[1:, 0], self.mu)
-            if math.sqrt(sq @ sq) <= rho:
+            b = (math.copysign(abs(c0) - rho, c0) / col.item(0)
+                 if abs(c0) > rho else 0.0)
+            # the theta pull at (b, 0) and its budget: rho once b != 0, the
+            # zero certificate's at b = 0
+            sq = soft_threshold((c - b * col)[1:], self.mu)
+            if math.sqrt(sq @ sq) <= (rho if b else _zero_budget(c0, rho)):
+                if not self.rows[j]:
+                    self.beta[j] = b
+                    self.r -= x_j * (b - b_old)
+                    return
                 g = np.zeros_like(c)
-                g[0] = bhat
+                g[0] = b
         if g is None:
+            d, gram, t = ws.block(j)
             g, stopped = _block_minimize(gram, c, g0, rho, self.mu, t,
                                          self.cfg)
             self.n_prox_capped += not stopped
@@ -735,7 +717,7 @@ class _Fitter:
         c1 /= n
         gram = gram.tolist()
         if b_old or t_old:
-            if self.ws.xnorm2[j] == 0.0:
+            if self.ws.gram0[j, 0] == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             (g00, g01), (_, g11) = gram
             c0 += g00 * b_old + g01 * t_old

@@ -104,6 +104,33 @@ class TestKFoldCv:
         with pytest.raises(ValueError, match="two folds"):
             k_fold_cv(data, folds=np.zeros(40, dtype=int), n_lambda=10)
 
+    def test_fractional_fold_labels_rejected(self):
+        # 0.7 and 1.2 once went silently to folds 0 and 1
+        data = cv_data(np.random.default_rng(35), n=40)
+        ids = (np.arange(40) % 4).astype(float)
+        ids[:2] = 0.7, 1.2
+        with pytest.raises(ValueError, match=r"folds .*0\.7 at row 0"):
+            k_fold_cv(data, folds=ids, n_lambda=10)
+        # integer-valued floats are fold ids like any other
+        res = k_fold_cv(data, folds=np.arange(40) % 4.0, n_lambda=10)
+        ref = k_fold_cv(data, folds=np.arange(40) % 4, n_lambda=10)
+        np.testing.assert_array_equal(res.cv_mean, ref.cv_mean)
+
+    def test_nan_fold_label_rejected(self):
+        data = cv_data(np.random.default_rng(35), n=40)
+        ids = (np.arange(40) % 4).astype(float)
+        ids[5] = np.nan
+        with pytest.raises(ValueError, match="folds .*nan at row 5"):
+            k_fold_cv(data, folds=ids, n_lambda=10)
+
+    def test_fold_leaving_one_training_row_rejected(self):
+        data = cv_data(np.random.default_rng(35), n=40)
+        ids = np.zeros(40, dtype=int)
+        ids[7] = 1
+        with pytest.raises(ValueError,
+                           match="folds .*2 training rows.*fold 0 leaves 1"):
+            k_fold_cv(data, folds=ids, n_lambda=10)
+
     def test_fold_count_validated(self):
         data = cv_data(np.random.default_rng(36), n=20)
         with pytest.raises(ValueError, match="n_folds"):

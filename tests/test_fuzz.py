@@ -58,6 +58,23 @@ def _bad_int(low):
                      st.integers(max_value=low - 1))
 
 
+@st.composite
+def _bad_folds(draw):
+    """Fold labels for the 12 rows of ``_DATA`` that ``k_fold_cv`` must
+    refuse: one fractional or non-finite label among integer ones, or one
+    fold holding 11 or 12 rows, which leaves under 2 training rows."""
+    ids = draw(st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    i = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        labels = np.array(ids, dtype=float)
+        labels[i] = draw(st.one_of(
+            _NON_FINITE, st.floats(**_FINITE).filter(lambda v: v != int(v))))
+        return labels
+    labels = np.full(12, ids[0])
+    labels[i] = ids[1]
+    return labels
+
+
 _ALPHA = _bad_real(0.0, 1.0)
 _LAM = _bad_real(0.0)
 
@@ -107,6 +124,8 @@ _CASES = [
      st.one_of(_bad_int(2), st.integers(min_value=13))),
     ("k_fold_cv.seed", lambda v: P.k_fold_cv(_DATA, n_folds=3, seed=v),
      "seed", _bad_int(0)),
+    ("k_fold_cv.folds", lambda v: P.k_fold_cv(_DATA, folds=v), "folds",
+     _bad_folds()),
     ("covariance_df.sigma",
      lambda v: P.covariance_df(np.ones((3, 4)), np.ones((3, 4)), v), "sigma",
      _bad_real(0.0, low_open=True)),

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ import pytest
 from plasso.cv import k_fold_cv
 from plasso.io import (MODEL_SCHEMA_VERSION, DataFormatError, load_model,
                        read_delimited, save_model, split_columns, write_table)
-from plasso.model import Dataset, predict
-from plasso.path import fit_path
+from plasso.model import Dataset, PliableFit, predict
+from plasso.path import LambdaDiagnostics, PathResult, fit_path
+from plasso.preprocess import StandardizationMap
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 class TestReadDelimited:
@@ -126,7 +130,26 @@ def small_path(seed=0, with_cv=False):
     return data, fit_path(data, n_lambda=8), None
 
 
+def hand_path():
+    """A two-level path built by hand, with an identity standardization so
+    the saved coefficients are exact."""
+    smap = StandardizationMap(np.zeros(2), np.ones(2), np.zeros(1),
+                              np.ones(1), 0.5)
+    fits = (PliableFit(0.0, [0.0], [0.0, 0.0], {}, 0.8, 0.5),
+            PliableFit(0.25, [0.5], [1.5, 0.0], {0: [-0.75]}, 0.1, 0.5))
+    diags = (LambdaDiagnostics(1, 0, 0, 0.0, 0),
+             LambdaDiagnostics(7, 1, 1, 2.5e-05, 1))
+    return PathResult([0.8, 0.1], fits, diags, smap, 0.5)
+
+
 class TestModelFile:
+    def test_saved_bytes_unchanged(self, tmp_path):
+        # data/hand_model.json is this path as save_model wrote it when each
+        # diagnostics entry was spelled out key by key
+        f = tmp_path / "model.json"
+        save_model(f, hand_path(), x_columns=["a", "b"], z_columns=["u"])
+        assert f.read_bytes() == (DATA_DIR / "hand_model.json").read_bytes()
+
     def test_round_trip_predictions_exact(self, tmp_path):
         data, path, _ = small_path()
         f = tmp_path / "model.json"
