@@ -30,9 +30,13 @@ group that had a theta row, ``tries`` the calls of the exact solve, and
 pulls over all groups they take (calls of ``solver._pulls`` inside
 ``_Fitter.run``, not those of ``lambda_max``); ``visits`` is the sum of
 the move counts, and ``passes_per_fit``, ``sweeps_per_fit`` and
-``visits_per_fit`` are passes, sweeps and visits over fits.  Prints one JSON
-object: per workload, one row per input and their total, each with the
-count and share of every move and the pass, sweep and visit counts.
+``visits_per_fit`` are passes, sweeps and visits over fits.
+``newton_tries`` counts the Newton steps over all active blocks
+(``solver._solve_active``, at most one per fit; 0 in a checkout without
+it), ``newton_accepted`` those installed and ``newton_iters`` their Newton
+iterations, declined steps included.  Prints one JSON object: per
+workload, one row per input and their total, each with the count and share
+of every move and the pass, sweep and visit counts.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
-COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps",
+                  "newton_tries", "newton_accepted", "newton_iters")
 WORKLOADS = ("boot_df", "wide_path", "cli_cv_hte")
 
 
@@ -61,6 +66,7 @@ def counting(solver, counts):
         fitter.run
     solve, loop, pulls = (solver._solve_on_support, solver._block_minimize,
                           solver._pulls)
+    newton = getattr(solver, "_solve_active", None)
     seen = {"exact": False, "loop": False, "run": False}
 
     def solve_traced(*args, **kwargs):
@@ -76,6 +82,13 @@ def counting(solver, counts):
     def pulls_traced(*args, **kwargs):
         counts["sweeps"] += seen["run"]
         return pulls(*args, **kwargs)
+
+    def newton_traced(ft):
+        accepted, iters = newton(ft)
+        counts["newton_tries"] += 1
+        counts["newton_accepted"] += accepted
+        counts["newton_iters"] += iters
+        return accepted, iters
 
     def update_traced(self, j):
         seen["exact"] = seen["loop"] = False
@@ -108,6 +121,8 @@ def counting(solver, counts):
     fitter.run = run_traced
     solver._solve_on_support, solver._block_minimize, solver._pulls = \
         solve_traced, loop_traced, pulls_traced
+    if newton is not None:
+        solver._solve_active = newton_traced
     try:
         yield
     finally:
@@ -115,6 +130,8 @@ def counting(solver, counts):
         fitter.run = run
         solver._solve_on_support, solver._block_minimize, solver._pulls = \
             solve, loop, pulls
+        if newton is not None:
+            solver._solve_active = newton
 
 
 def summary(counts) -> dict:

@@ -56,10 +56,17 @@ def _fold_ids(n: int, n_folds: int, seed: int) -> np.ndarray:
 
 def _check_n_folds(n_folds, n, name="n_folds"):
     """Raise ValueError naming ``name`` and the row count ``n`` unless
-    ``n_folds`` is an integer in [2, n]."""
+    ``n_folds`` is an integer in [2, n] whose largest fold leaves at least 2
+    training rows, as ``_check_folds`` requires of given folds."""
     if not (isinstance(n_folds, numbers.Integral) and 2 <= n_folds <= n):
         raise ValueError(f"{name} must be an integer in [2, {n}] for data "
                          f"with {n} rows, got {n_folds!r}")
+    # _fold_ids' largest fold holds ceil(n / n_folds) rows
+    left = n - -(-n // n_folds)
+    if left < 2:
+        raise ValueError(f"{name}={n_folds} leaves {left} training row in "
+                         f"its largest fold of data with {n} rows; each "
+                         f"fold must leave at least 2")
 
 
 def _check_folds(folds, n):

@@ -294,6 +294,18 @@ class TestExitCodes:
                        "data with 5 rows, got 10\n")
         assert not model.exists()
 
+    def test_folds_leaving_one_training_row_is_1(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        write_training_file(data, n=3)
+        model = tmp_path / "m.json"
+        rc = main(["cv", "--data", str(data), "--z-cols", "w",
+                   "--model", str(model), "--output", str(tmp_path / "o.tsv"),
+                   "--folds", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "plasso: --folds=2 leaves 1 training row")
+        assert not model.exists()
+
     def test_non_text_data_is_2(self, tmp_path, capsys):
         # a file that is not UTF-8 text used to exit 1, as a usage error
         data = tmp_path / "d.tsv"

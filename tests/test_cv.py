@@ -138,6 +138,18 @@ class TestKFoldCv:
         with pytest.raises(ValueError, match="n_folds"):
             k_fold_cv(data, n_folds=21)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fold_count_leaving_one_training_row_rejected(self, n):
+        # 2 folds of 3 rows once left fold 0 one training row and failed in
+        # standardize with "fold 0: X column 0 is constant"
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.standard_normal(3)[:n],
+                       rng.standard_normal((3, 2))[:n],
+                       rng.standard_normal((3, 2))[:n])
+        with pytest.raises(ValueError, match=rf"^n_folds=2 leaves 1 training "
+                           rf"row .* data with {n} rows"):
+            k_fold_cv(data, n_folds=2)
+
     def test_fold_count_message_gives_the_row_count(self):
         data = cv_data(np.random.default_rng(36), n=5)
         with pytest.raises(ValueError, match=r"^n_folds must be an integer "

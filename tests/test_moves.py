@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MOVES = ("exact", "beta", "loop", "zero", "k1")
-COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps")
+COUNTS = MOVES + ("tries", "row_visits", "fits", "passes", "sweeps",
+                  "newton_tries", "newton_accepted", "newton_iters")
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +54,14 @@ def test_moves_follow_the_number_of_modifiers(report):
         assert total["k1"] == 0
         assert total["tries"] == total["row_visits"] > 0
         assert 0.5 < total["hit_rate"] <= 1.0
+
+
+def test_newton_steps(report):
+    for entry in report["workloads"].values():
+        for row in entry["inputs"] + [entry["total"]]:
+            # at most one Newton step per fit
+            assert row["newton_accepted"] <= row["newton_tries"] \
+                <= row["fits"]
+            assert row["newton_iters"] >= 0
+    # K = 1 never takes it
+    assert report["workloads"]["cli_cv_hte"]["total"]["newton_tries"] == 0

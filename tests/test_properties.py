@@ -11,15 +11,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (assume, event, example, given, settings,
+                        strategies as st)
 
+from plasso import solver
 from plasso.io import load_model, save_model
 from plasso.model import Dataset, PliableFit, objective, predict
 from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
-from plasso.solver import (SolverConfig, Workspace, _block_minimize,
-                           _block_value, _Fitter, _solve_k1,
+from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
+                           _block_minimize, _block_value, _Fitter, _solve_k1,
                            _solve_on_support, check_kkt, fit_single_lambda,
                            prox_group)
 
@@ -28,24 +30,37 @@ from oracles import (block_residual_oracle, kkt_per_group_oracle,
 
 
 @contextlib.contextmanager
-def objective_spy():
+def objective_spy(steps=None):
     """Yield a list that fills, while the block runs, with the objective of
     every fit's iterate before and after each pass's intercept refresh, as
-    ``model.objective`` computes it from scratch.  The spy wraps
-    ``_Fitter._refresh_intercepts`` and puts it back on exit."""
+    ``model.objective`` computes it from scratch.  If ``steps`` is a list,
+    it takes, for each accepted Newton step over the active blocks
+    (``solver._solve_active``), the length the objective list had when the
+    step was installed.  The spy wraps ``_Fitter._refresh_intercepts`` (and
+    ``_solve_active``) and puts them back on exit."""
     seen = []
     refresh = _Fitter._refresh_intercepts
+    newton = solver._solve_active
 
     def spy(self):
         seen.append(objective(self._build_fit(), self.data).total)
         refresh(self)
         seen.append(objective(self._build_fit(), self.data).total)
 
+    def newton_spy(ft):
+        accepted, iters = newton(ft)
+        if accepted:
+            steps.append(len(seen))
+        return accepted, iters
+
     _Fitter._refresh_intercepts = spy
+    if steps is not None:
+        solver._solve_active = newton_spy
     try:
         yield seen
     finally:
         _Fitter._refresh_intercepts = refresh
+        solver._solve_active = newton
 
 
 def _random_case(case):
@@ -69,9 +84,13 @@ def _random_case(case):
 
 def run_monotonicity_suite(n_cases=100):
     bad = []
+    # cases where a Newton step over the active blocks came between two
+    # intercept refreshes, so the trace checks that it descends
+    newton_cases = 0
     for case in range(n_cases):
         _, data, lam, alpha = _random_case(case)
-        with objective_spy() as seen:
+        steps = []
+        with objective_spy(steps) as seen:
             fit_single_lambda(data, lam, SolverConfig(alpha=alpha))
         trace = np.asarray(seen)
         slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
@@ -80,6 +99,9 @@ def run_monotonicity_suite(n_cases=100):
                        "values")
         elif np.any(np.diff(trace) > slack):
             bad.append(f"case {case}: objective rose across passes")
+        newton_cases += any(0 < i < trace.size for i in steps)
+    if not newton_cases:
+        bad.append("no case took a Newton step between two refreshes")
     return bad
 
 
@@ -492,3 +514,73 @@ def test_row_visit_meets_block_oracle(seed, n, k, design, lam, alpha, visits,
                                      fit.theta[0], (1.0 - alpha) * lam,
                                      alpha * lam) <= 1e-9 * scale
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+       p=st.integers(1, 8), k=st.integers(2, 5),
+       frac=st.floats(0.02, 0.8), alpha=st.floats(0.0, 0.95),
+       shift=st.floats(1.0, 1.5), loose=st.floats(1e-4, 1e-1))
+def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
+                                                    alpha, shift, loose):
+    # the Newton step over every active block, from a settled iterate: a
+    # loose fit at lam or at a larger penalty, refreshed.  It either
+    # declines and leaves the fitter as it was, or keeps every theta
+    # support and sign (and the sign of each beta without a row), keeps r
+    # the residual of the fit, stops at a stationary point of the restricted
+    # objective and does not raise the objective
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    Z = rng.standard_normal((n, k))
+    beta = np.where(rng.random(p) < 0.6, rng.standard_normal(p) * 2, 0.0)
+    y = X @ beta + X[:, 0] * (Z @ rng.standard_normal(k)) \
+        + rng.standard_normal(n)
+    data, _ = standardize(Dataset(y, X, Z), True, True, True)
+    lam = frac * lambda_max(data, alpha)
+    assume(lam > 0.0)
+    try:
+        warm = fit_single_lambda(data, shift * lam,
+                                 SolverConfig(alpha=alpha, tol_kkt=loose))
+    except ConvergenceError as err:
+        # some small designs with more coefficients than rows crawl; the
+        # last iterate is a start like any other
+        warm = err.fit
+    cfg = SolverConfig(alpha=alpha, tol_kkt=1e-6)
+    ft = _Fitter(data, lam, cfg, warm, Workspace(data))
+    ft._refresh_intercepts()
+    before = (ft.beta.copy(), ft.theta.copy(), ft.r.copy(), ft.beta0,
+              ft.theta0.copy(), ft.rows.copy())
+    f0 = objective(ft._build_fit(), data).total
+    accepted, iters = solver._solve_active(ft)
+    event(f"accepted: {accepted}")
+    assert 0 <= iters <= solver._ACTIVE_CAP
+    if not accepted:
+        for a, b in zip(before, (ft.beta, ft.theta, ft.r, ft.beta0,
+                                 ft.theta0, ft.rows)):
+            np.testing.assert_array_equal(a, b)
+        return
+    b0, th0, _, _, _, rows = before
+    np.testing.assert_array_equal(ft.rows, rows)
+    np.testing.assert_array_equal(np.sign(ft.theta), np.sign(th0))
+    np.testing.assert_array_equal(np.sign(ft.beta[~rows]), np.sign(b0[~rows]))
+    fit = ft._build_fit()
+    np.testing.assert_allclose(ft.r, data.y - predict(fit, data.X, data.Z),
+                               rtol=0.0, atol=1e-12 * max(1.0,
+                                                          np.abs(y).max()))
+    f1 = objective(fit, data).total
+    assert f1 <= f0 + 1e-12 * max(1.0, abs(f0))
+    # stationary on the active variables: the KKT entries of each active
+    # beta and each theta entry on its row's support
+    rho, mu = (1.0 - alpha) * lam, alpha * lam
+    act = np.flatnonzero((ft.beta != 0.0) | ft.rows)
+    a = data.X.T @ ft.r / n
+    q = data.X.T @ (data.Z * ft.r[:, None]) / n
+    for j in act:
+        th = ft.theta[j]
+        gn = np.hypot(ft.beta[j], np.linalg.norm(th))
+        res = [rho * ft.beta[j] / gn - a[j]]
+        if ft.rows[j]:
+            on = th != 0.0
+            res.extend((rho * th * (1.0 / gn + 1.0 / np.linalg.norm(th))
+                        + mu * np.sign(th) - q[j])[on])
+        assert np.abs(res).max() <= solver._ACTIVE_TOL * cfg.tol_kkt + 1e-12

@@ -675,3 +675,86 @@ class TestExactK1:
             kkt = check_kkt(fit, std).max_violation
             assert kkt <= cfg.tol_kkt
             assert kkt == pytest.approx(d.kkt_max, rel=1e-6, abs=1e-12)
+
+
+class TestActiveNewton:
+    """The Newton step over every active block (``solver._solve_active``):
+    at most once per fit, only at K >= 2 and a positive group penalty."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record (accepted, iterations, fitter state before, after) of
+        every call of the step."""
+        calls = []
+        inner = plasso.solver._solve_active
+
+        def state(ft):
+            return (ft.beta.copy(), ft.theta.copy(), ft.r.copy(), ft.beta0,
+                    ft.theta0.copy())
+
+        def spy(ft):
+            before = state(ft)
+            accepted, iters = inner(ft)
+            calls.append((accepted, iters, before, state(ft)))
+            return accepted, iters
+
+        monkeypatch.setattr(plasso.solver, "_solve_active", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_at_most_once_per_fit_and_never_at_k1(self, monkeypatch, k):
+        rng = np.random.default_rng(40 + k)
+        data = toy_data(rng, n=60, p=6, k=max(k, 1))
+        if k == 0:
+            data = Dataset(data.y, data.X)
+        calls = self._spy(monkeypatch)
+        lmax = lambda_max(data, 0.5)
+        for frac in (0.5, 0.2, 0.05, 0.01, 0.0):
+            before = len(calls)
+            fit_single_lambda(data, frac * lmax, SolverConfig(alpha=0.5))
+            assert len(calls) - before <= (1 if k > 1 and frac > 0 else 0)
+        if k > 1:
+            assert any(accepted for accepted, *_ in calls)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_collinear_z_declines_cleanly(self, monkeypatch, seed):
+        # Z = [z, -2z] at 1e-3 lambda_max on five rows: the restricted
+        # Hessian is singular up to rounding, so the step mostly declines
+        # on its sign-crossing cut, and a declined step leaves the fitter
+        # as it was.  The fit itself may still reach the pass cap, as it
+        # does without the step
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((5, 2))
+        z = rng.standard_normal(5)
+        data, _ = standardize(Dataset(rng.standard_normal(5), X,
+                                      np.column_stack([z, -2.0 * z])),
+                              True, True, True)
+        calls = self._spy(monkeypatch)
+        lam = 1e-3 * lambda_max(data, 0.3)
+        try:
+            fit_single_lambda(data, lam, SolverConfig(alpha=0.3))
+        except ConvergenceError:
+            pass
+        assert len(calls) == 1
+        accepted, iters, before, after = calls[0]
+        assert 0 <= iters <= plasso.solver._ACTIVE_CAP
+        if not accepted:
+            for a, b in zip(before, after):
+                np.testing.assert_array_equal(a, b)
+
+    def test_singular_hessian_declines(self):
+        # two equal columns of X, both active as beta-only groups: the
+        # restricted Hessian is exactly singular along (1, -1)
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(20)
+        X = np.column_stack([x, x, rng.standard_normal(20)])
+        data = Dataset(2.0 * x + rng.standard_normal(20), X,
+                       rng.standard_normal((20, 2)))
+        warm = PliableFit(0.0, np.zeros(2), np.array([0.5, 0.5, 0.0]), {})
+        ft = plasso.solver._Fitter(data, 0.1, SolverConfig(), warm,
+                                   Workspace(data))
+        ft._refresh_intercepts()
+        beta, r = ft.beta.copy(), ft.r.copy()
+        assert plasso.solver._solve_active(ft) == (False, 0)
+        np.testing.assert_array_equal(ft.beta, beta)
+        np.testing.assert_array_equal(ft.r, r)
