@@ -14,8 +14,8 @@ import numpy as np
 from .model import (Dataset, PliableFit, _as_xz, _check_index, _check_int,
                     _linear_predictor)
 from .preprocess import StandardizationMap, destandardize_fit, standardize
-from .solver import (ConvergenceError, SolverConfig, Workspace, _pulls,
-                     _zero_slack, fit_single_lambda)
+from .solver import (ConvergenceError, SolverConfig, Workspace, _design,
+                     _pulls, _zero_slack, fit_single_lambda)
 
 __all__ = [
     "LambdaDiagnostics",
@@ -98,11 +98,10 @@ def lambda_max(data: Dataset, alpha: float) -> float:
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    n = data.n_samples
-    A = np.column_stack([np.ones(n), data.Z])
+    A = _design(data.Z)
     coef = np.linalg.pinv(A) @ data.y
     r = data.y - A @ coef
-    a, q = _pulls(data.X, data.Z, r)
+    a, q = _pulls(data.X, A.T / data.n_samples, r)
     scale = 1.0 - alpha
     lo = np.abs(a) / scale
     hi = np.maximum(lo, np.sqrt(np.square(q).sum(axis=1)) / scale)

@@ -5,9 +5,13 @@ Each predictor j owns a block (beta_j, theta_j) penalized by
     (1-alpha) lam (||(beta_j, theta_j)||_2 + ||theta_j||_2)
     + alpha lam ||theta_j||_1 .
 
-Every visit works in Gram form: it takes the pull of the partial residual
-on the block from the running residual and the block's Gram matrix, and the
-residual takes one update.  A group with a theta row first tries an exact
+Every pull of a residual r on a block D_j = [x_j, x_j o Z] comes from one
+identity, D_j'r / N = (A'/N)(x_j o r) with A = [1, Z]: a visit takes it for
+its group, the screening sweep for all groups in one product.  Every visit
+works in Gram form: it takes the pull of the partial residual from the
+running residual and the block's Gram matrix G_j = D_j'D_j / N (all of
+them held in one workspace array), and the residual takes one update,
+r -= x_j o (A (g - g0)).  A group with a theta row first tries an exact
 solve of the joint block on the support and signs of that row (when the
 group penalty is positive); then, on the same pull, come a soft-threshold
 update for beta_j with theta_j pinned at zero and a proximal gradient loop
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Dataset, PliableFit, _check_int, _check_penalty,
-                    _linear_predictor, interaction_block, predict)
+                    _linear_predictor, predict)
 
 __all__ = [
     "SolverConfig",
@@ -155,14 +159,17 @@ def _zero_budget(a, rho):
     return rho + np.sqrt(np.maximum(rho * rho - np.square(a), 0.0))
 
 
-def _pulls(X, Z, r):
+def _design(Z):
+    """The intercept design A = [1, Z]."""
+    return np.column_stack([np.ones(Z.shape[0]), Z])
+
+
+def _pulls(X, at, r):
     """(a, q) = (X'r / N, X'(Z o r) / N): the pull of residual r on each
-    group's main effect and on its modifier row, one row per column of X.
-    For K = 0, q has shape (p, 0)."""
-    n = r.shape[0]
-    a = X.T @ r / n
-    q = X.T @ (Z * r[:, None]) / n
-    return a, q
+    group's main effect and on its modifier row, one row per column of X,
+    from one product with ``at`` = A'/N.  For K = 0, q has shape (p, 0)."""
+    pull = (at * r) @ X
+    return pull[0], pull[1:].T
 
 
 def _zero_slack(a, q, rho, mu):
@@ -219,45 +226,27 @@ def prox_group(z, c, l1):
 
 
 class Workspace:
-    """Per-dataset caches reused across a path: the joint-move blocks of
-    groups that take one (of every visited group when K = 1), the
-    eigenbases of the exact joint solve per group and theta support, the
-    first column of every block Gram matrix, and the intercept design
-    A = [1, Z] (also as A'/N) with its pseudoinverse."""
+    """Per-dataset caches reused across a path: the intercept design
+    A = [1, Z] (also as A'/N) with its pseudoinverse, every block's Gram
+    matrix G_j = D_j'D_j / N, and the eigenbases of the exact joint solve
+    per group and theta support.  Nothing here has one entry per sample
+    and group."""
 
     def __init__(self, data: Dataset):
         self.data = data
-        A = np.column_stack([np.ones(data.n_samples), data.Z])
+        A = _design(data.Z)
         self.design = A
-        # A'/N for A = [1, Z]: D_j'v / N = (A'/N)(x_j o v) for every group j
+        # A'/N: D_j'v / N = (A'/N)(x_j o v) for every group j
         self.at = A.T / data.n_samples
-        # row j is G_j[:, 0] = D_j'x_j / N; its entry 0 is ||x_j||^2 / N
-        self.gram0 = (self.at @ np.square(data.X)).T
+        # gram[j] = A' diag(x_j^2) A / N, one product for all groups; its
+        # entry (0, 0) is ||x_j||^2 / N
+        n, k1 = A.shape
+        pairs = (A[:, :, None] * A[:, None, :]).reshape(n, k1 * k1)
+        self.gram = (np.square(data.X).T @ pairs / n).reshape(-1, k1, k1)
         # pseudoinverse handles a rank-deficient Z (e.g. Z identically zero)
         # with the minimum-norm intercepts instead of failing mid-fit
         self._a_pinv = np.linalg.pinv(A)
-        self._block: dict[int, tuple] = {}
         self._support: dict[tuple, tuple] = {}
-
-    def block(self, j: int):
-        """(D_j, G_j, 1/L_j) with D_j = [X_j, W_j], G_j = D_j'D_j / N and L_j
-        the largest eigenvalue of G_j, the exact Lipschitz constant of the
-        block loss gradient.  The step is None at K < 2, where no prox loop
-        runs."""
-        got = self._block.get(j)
-        if got is None:
-            data = self.data
-            d = np.empty((data.n_samples, data.n_modifiers + 1))
-            d[:, 0] = data.X[:, j]
-            d[:, 1:] = interaction_block(data.X, data.Z, j)
-            gram = d.T @ d / data.n_samples
-            step = None
-            if data.n_modifiers > 1:
-                lip = float(np.linalg.eigvalsh(gram)[-1])
-                step = 1.0 / lip if lip > 0 else 1.0
-            got = (d, gram, step)
-            self._block[j] = got
-        return got
 
     def support(self, j: int, row):
         """(pos, off, V, lam, h) for the support S (the nonzero entries) of
@@ -269,7 +258,7 @@ class Workspace:
         key = (j, mask.tobytes())
         got = self._support.get(key)
         if got is None:
-            gram = self.block(j)[1]
+            gram = self.gram[j]
             pos = np.flatnonzero(mask) + 1
             off = np.flatnonzero(~mask) + 1
             lam, vec = np.linalg.eigh(gram[np.ix_(pos, pos)])
@@ -294,7 +283,7 @@ def _block_value(gram, c, g, rho, mu):
             + rho * (math.hypot(g[0], tn) + tn) + mu * float(np.abs(th).sum()))
 
 
-def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
+def _block_minimize(gram, c, g0, rho, mu, cfg: SolverConfig):
     """Minimize the block objective from g0 by proximal gradient with the
     fixed step t = 1/L and momentum restarted by the gradient test of
     O'Donoghue and Candes (2015).  Returns the block and whether the loop
@@ -304,9 +293,9 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
     and g0, the only objective values the solve evaluates.
 
     With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
-    is 0.5 g'G g - c'g + const for G = D'D/N and c = D'r/N, so every
-    iteration works on (K+1)-vectors only, and L, the largest eigenvalue of
-    G, bounds its curvature exactly.  Each step takes g_new = T(y) at the
+    is 0.5 g'G g - c'g + const for G = D'D/N (``gram``) and c = D'r/N, so
+    every iteration works on (K+1)-vectors only, and L, the largest
+    eigenvalue of G, bounds its curvature exactly.  Each step takes g_new = T(y) at the
     momentum point y, with T(y) = prox_group(y - t (G y - c), t rho, t mu)
     on the stacked block, so no step splits or restacks g.  T is
     nonexpansive for t <= 1/L, so ||T(g_new) - g_new||_2 <= ||g_new - y||_2
@@ -314,6 +303,8 @@ def _block_minimize(gram, c, g0, rho, mu, t, cfg: SolverConfig):
     when the step points against the last move, (y - g_new)'(g_new - g) > 0;
     the step is kept either way.
     """
+    lip = float(np.linalg.eigvalsh(gram)[-1])
+    t = 1.0 / lip if lip > 0 else 1.0
     g = np.array(g0, dtype=float)
     g_prev = g
     k = 1
@@ -562,10 +553,11 @@ def _solve_k1(gram, c, rho, mu):
 # KKT / subgradient residuals
 
 
-def _kkt_arrays(data: Dataset, r, beta, theta, lam, alpha) -> KktReport:
+def _kkt_arrays(data: Dataset, at, r, beta, theta, lam, alpha) -> KktReport:
     """KKT report at residual r of the dense coefficients beta (p,) and
-    theta (p, K).  Zero blocks take their zero-certificate slack; each
-    active block j takes the larger of
+    theta (p, K), with ``at`` = A'/N for the intercept design A = [1, Z].
+    Zero blocks take their zero-certificate slack; each active block j
+    takes the larger of
 
         |rho b / gn - a|                                   (beta_j)
         max(||S(q, mu)||_2 - rho, 0)            if theta_j = 0, else
@@ -573,11 +565,11 @@ def _kkt_arrays(data: Dataset, r, beta, theta, lam, alpha) -> KktReport:
               max(|q_k| - mu, 0)                               (th_k == 0)
 
     with (a, q) the pulls of group j, tn = ||theta_j||_2 and
-    gn = ||(beta_j, theta_j)||_2."""
-    n, p = data.n_samples, data.n_predictors
+    gn = ||(beta_j, theta_j)||_2.  ``intercept`` is max |A'r / N|."""
+    p = data.n_predictors
     rho = (1.0 - alpha) * lam
     mu = alpha * lam
-    a_all, q_all = _pulls(data.X, data.Z, r)
+    a_all, q_all = _pulls(data.X, at, r)
     per = np.maximum(_zero_slack(a_all, q_all, rho, mu), 0.0)
     act = np.flatnonzero((beta != 0.0) | theta.any(axis=1))
     b, th, q = beta[act], theta[act], q_all[act]
@@ -593,9 +585,7 @@ def _kkt_arrays(data: Dataset, r, beta, theta, lam, alpha) -> KktReport:
                       excess).max(axis=1, initial=0.0)
     res_zero = np.maximum(np.sqrt(np.square(excess).sum(axis=1)) - rho, 0.0)
     per[act] = np.maximum(res_b, np.where(no_row, res_zero, res_th))
-    intercept = abs(float(r.mean()))
-    if data.n_modifiers:
-        intercept = max(intercept, float(np.abs(data.Z.T @ r).max()) / n)
+    intercept = float(np.abs(at @ r).max())
     worst = int(np.argmax(per)) if p else 0
     return KktReport(per_group=per, intercept=intercept,
                      max_violation=max(float(per.max()) if p else 0.0, intercept),
@@ -607,7 +597,8 @@ def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport
     lam, alpha = _check_penalty(fit.lam if lam is None else lam,
                                 fit.alpha if alpha is None else alpha)
     r = data.y - predict(fit, data.X, data.Z)
-    return _kkt_arrays(data, r, fit.beta, fit.theta, lam, alpha)
+    at = _design(data.Z).T / data.n_samples
+    return _kkt_arrays(data, at, r, fit.beta, fit.theta, lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -783,42 +774,36 @@ class _Fitter:
 
     def _update_group(self, j):
         """One K != 1 block visit, in Gram form like the K = 1 visit: the
-        pull of the partial residual is c = D_j'r/N + G_j g0 at the current
-        block g0, so r_{-j} is never formed.  A group with a theta row takes
-        D_j and G_j from its cached block; any other group takes
-        D_j'r/N = (A'/N)(x_j o r) and G_j's first column from the
-        workspace, and caches a block only if the loop runs.  On that c, in
-        order: the exact solve on the row's support (``_solve_on_support``;
-        rows only, at rho > 0), the beta-only soft-threshold
+        pull of the partial residual is c = (A'/N)(x_j o r) + G_j g0 at the
+        current block g0, so r_{-j} is never formed.  On that c, in order:
+        the exact solve on the row's support (``_solve_on_support``; rows
+        only, at rho > 0), the beta-only soft-threshold
         b = S(c_0, rho) / G_00 with theta pinned at zero, and the joint prox
         loop.  The beta-only test is the subgradient condition of (b, 0), so
         at b = 0 it is the zero certificate, and the visit needs no
         certificate of its own.  The residual takes one update."""
         ws, rho = self.ws, self.rho
+        x_j = self.data.X[:, j]
+        gram = ws.gram[j]
         b_old = self.beta.item(j)
-        col = ws.gram0[j]
-        g0 = np.zeros(col.size)
+        g0 = np.zeros(gram.shape[0])
         g0[0] = b_old
-        g = None
         if self.rows[j]:
-            d, gram, t = ws.block(j)
             g0[1:] = self.theta[j]
-            c = d.T @ self.r / self.data.n_samples + gram @ g0
-            if rho > 0.0:
-                g = _solve_on_support(gram, c, g0, rho, self.mu,
-                                      ws.support(j, self.theta[j]))
-        else:
-            x_j = self.data.X[:, j]
-            c = ws.at @ (x_j * self.r) + b_old * col
+        c = ws.at @ (x_j * self.r) + gram @ g0
+        g = None
+        if self.rows[j] and rho > 0.0:
+            g = _solve_on_support(gram, c, g0, rho, self.mu,
+                                  ws.support(j, self.theta[j]))
         if g is None:
-            if col.item(0) == 0.0:
+            if gram.item(0, 0) == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
             c0 = c.item(0)
-            b = (math.copysign(abs(c0) - rho, c0) / col.item(0)
+            b = (math.copysign(abs(c0) - rho, c0) / gram.item(0, 0)
                  if abs(c0) > rho else 0.0)
             # the theta pull at (b, 0) and its budget: rho once b != 0, the
             # zero certificate's at b = 0
-            sq = soft_threshold((c - b * col)[1:], self.mu)
+            sq = soft_threshold((c - b * gram[:, 0])[1:], self.mu)
             if math.sqrt(sq @ sq) <= (rho if b else _zero_budget(c0, rho)):
                 if not self.rows[j]:
                     self.beta[j] = b
@@ -827,12 +812,10 @@ class _Fitter:
                 g = np.zeros_like(c)
                 g[0] = b
         if g is None:
-            d, gram, t = ws.block(j)
-            g, stopped = _block_minimize(gram, c, g0, rho, self.mu, t,
-                                         self.cfg)
+            g, stopped = _block_minimize(gram, c, g0, rho, self.mu, self.cfg)
             self.n_prox_capped += not stopped
         self._set_block(j, g)
-        self.r -= d @ (g - g0)
+        self._move(x_j, g - g0)
 
     def _set_block(self, j, g):
         row = g[1:]
@@ -841,33 +824,35 @@ class _Fitter:
         self.theta[j] = row if has_row else 0.0
         self.rows[j] = has_row
 
+    def _move(self, x_j, step):
+        """r -= D_j step = x_j o (A step) for a change ``step`` of block j."""
+        self.r -= x_j * (self.ws.design @ step)
+
     def _update_k1(self, j):
         """The K = 1 block update: one exact solve (``_solve_k1``) in place
         of the three moves, so no prox iteration runs.  The pull of the
-        partial residual is D'r/N + G g_old, so r_{-j} is never formed."""
-        d, gram, _ = self.ws.block(j)
+        partial residual is (A'/N)(x_j o r) + G g_old, so r_{-j} is never
+        formed."""
+        x_j = self.data.X[:, j]
         b_old, t_old = self.beta.item(j), self.theta.item(j, 0)
-        n = self.data.n_samples
-        c0, c1 = (self.r @ d).tolist()
-        c0 /= n
-        c1 /= n
-        gram = gram.tolist()
+        c0, c1 = (self.ws.at @ (x_j * self.r)).tolist()
+        gram = self.ws.gram[j].tolist()
+        (g00, g01), (_, g11) = gram
         if b_old or t_old:
-            if self.ws.gram0[j, 0] == 0.0:
+            if g00 == 0.0:
                 raise ValueError(f"X column {j} is identically zero")
-            (g00, g01), (_, g11) = gram
             c0 += g00 * b_old + g01 * t_old
             c1 += g01 * b_old + g11 * t_old
         b, t = _solve_k1(gram, (c0, c1), self.rho, self.mu)
         if b != b_old or t != t_old:
-            self.r -= d @ np.array((b - b_old, t - t_old))
+            self._move(x_j, np.array((b - b_old, t - t_old)))
             self.beta[j] = b
             self.theta[j, 0] = t
             self.rows[j] = t != 0.0
 
     def _kkt(self):
-        return _kkt_arrays(self.data, self.r, self.beta, self.theta,
-                           self.lam, self.cfg.alpha)
+        return _kkt_arrays(self.data, self.ws.at, self.r, self.beta,
+                           self.theta, self.lam, self.cfg.alpha)
 
     def _build_fit(self):
         return PliableFit.from_dense(self.beta0, self.theta0, self.beta,

@@ -16,7 +16,8 @@ from hypothesis import (assume, event, example, given, settings,
 
 from plasso import solver
 from plasso.io import load_model, save_model
-from plasso.model import Dataset, PliableFit, objective, predict
+from plasso.model import (Dataset, PliableFit, interaction_block, objective,
+                          predict)
 from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
@@ -217,12 +218,11 @@ def test_joint_move_is_a_monotone_fixed_point(seed, n, k, lam, alpha, warm):
     # the block Gram matrix singular) is revisited by the outer passes
     cfg = SolverConfig(alpha=alpha, max_prox_iters=100_000)
     rho, mu = (1.0 - alpha) * lam, alpha * lam
-    ws = Workspace(Dataset(r, x[:, None], Z))
-    d, gram, t = ws.block(0)
-    if t is None:
-        t = _step(gram)  # K = 1 blocks carry no step; the fitter never loops
+    gram = Workspace(Dataset(r, x[:, None], Z)).gram[0]
+    d = np.column_stack([x, interaction_block(x[:, None], Z, 0)])
+    t = _step(gram)  # the loop's own step
     c = d.T @ r / n
-    g, stopped = _block_minimize(gram, c, g0, rho, mu, t, cfg)
+    g, stopped = _block_minimize(gram, c, g0, rho, mu, cfg)
     assert stopped
 
     # one more prox-gradient step from the output must not move it by more
@@ -260,6 +260,35 @@ def test_lambda_max_is_the_zero_certificate_threshold(seed, extra, p, k, alpha,
     if lmax > 0.0:
         below = check_kkt(fit, std, lam=lmax * (1.0 - 1e-6))
         assert below.per_group.max() > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       p=st.integers(1, 6), k=st.sampled_from((0, 1, 4)),
+       shift=st.floats(-3.0, 3.0))
+def test_gram_and_pulls_match_the_interaction_block(seed, n, p, k, shift):
+    # every pull and Gram matrix the fitter takes comes from one identity,
+    # D_j'v / N = (A'/N)(x_j o v) with A = [1, Z]; the oracle builds
+    # D_j = [x_j, x_j o Z] itself
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    Z = rng.standard_normal((n, k)) + shift
+    r = rng.standard_normal(n)
+    ws = Workspace(Dataset(r, X, Z if k else None))
+    a, q = solver._pulls(X, ws.at, r)
+    assert a.shape == (p,) and q.shape == (p, k)
+    for j in range(p):
+        d = np.column_stack([X[:, j], interaction_block(X, Z, j)])
+        gram = d.T @ d / n
+        np.testing.assert_allclose(ws.gram[j], gram, rtol=0.0,
+                                   atol=1e-12 * np.abs(gram).max())
+        # (X'r / N, X'(Z o r) / N) of column j, from the sweep and the visit
+        want = d.T @ r / n
+        tol = 1e-12 * np.abs(d).max() * np.abs(r).max()
+        np.testing.assert_allclose(np.concatenate(([a[j]], q[j])), want,
+                                   rtol=0.0, atol=tol)
+        np.testing.assert_allclose(ws.at @ (X[:, j] * r), want, rtol=0.0,
+                                   atol=tol)
 
 
 # how a random fit sets each group: all zero, beta only, theta only, both,
@@ -322,7 +351,7 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
             # matrix [x, x o z]'[x, x o z] / N is singular
             x = np.where(z == z[0], x, 0.0)
     rho, mu = (1.0 - alpha) * lam, alpha * lam
-    _, gram, _ = Workspace(Dataset(x, x[:, None], z[:, None])).block(0)
+    gram = Workspace(Dataset(x, x[:, None], z[:, None])).gram[0]
     # build c from the optimality conditions of a chosen minimizer g_star
     # in the drawn regime, with 1% slack in each inequality
     u = rng.standard_normal(2)
@@ -369,8 +398,7 @@ def test_exact_k1_block_solve_matches_loop_oracle(seed, n, regime, design,
     assert abs(g[1] - g_star[1]) <= (1e-8 if regime == "beta" else tol)
 
     cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
-    g_loop, _ = _block_minimize(gram, c, np.zeros(2), rho, mu, _step(gram),
-                                cfg)
+    g_loop, _ = _block_minimize(gram, c, np.zeros(2), rho, mu, cfg)
     assert (_k1_objective(gram, c, g, rho, mu)
             <= _k1_objective(gram, c, g_loop, rho, mu) + 1e-12)
 
@@ -396,7 +424,7 @@ def test_exact_joint_solve_is_certified_or_declines(seed, n, k, design, warm,
         Z[:, 1] = Z[:, 0]  # two equal interaction columns
     rho, mu = (1.0 - alpha) * lam, alpha * lam
     ws = Workspace(Dataset(x, x[:, None], Z))
-    _, gram, t = ws.block(0)
+    gram = ws.gram[0]
     # c from the subgradient conditions of a chosen minimizer g_star with
     # theta support S and signs s, with 1% slack off S
     on = rng.random(k) < 0.6
@@ -441,7 +469,7 @@ def test_exact_joint_solve_is_certified_or_declines(seed, n, k, design, warm,
     assert right or mu < 1e-8
 
     cfg = SolverConfig(alpha=alpha, tol_kkt=1e-10, max_prox_iters=20_000)
-    g_loop, _ = _block_minimize(gram, c, g0, rho, mu, t, cfg)
+    g_loop, _ = _block_minimize(gram, c, g0, rho, mu, cfg)
     value = _block_value(gram, c, g_loop, rho, mu)
     assert _block_value(gram, c, g, rho, mu) <= value + 1e-12 * max(1.0,
                                                                     abs(value))

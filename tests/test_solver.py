@@ -521,8 +521,8 @@ class TestFitSingleLambda:
         inner = plasso.solver._block_minimize
         rises = []
 
-        def spy(gram, c, g0, rho, mu, t, cfg):
-            g, stopped = inner(gram, c, g0, rho, mu, t, cfg)
+        def spy(gram, c, g0, rho, mu, cfg):
+            g, stopped = inner(gram, c, g0, rho, mu, cfg)
             if not stopped:
                 f0 = value(gram, c, g0, rho, mu)
                 rises.append((value(gram, c, g, rho, mu) - f0)
