@@ -605,8 +605,8 @@ def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport
 # Newton step over all active blocks
 
 # the step stops once the restricted gradient is at most _ACTIVE_TOL * tol_kkt
-# in max-norm, and declines after _ACTIVE_CAP Newton iterations without that,
-# or when a step is cut or backtracked below _ACTIVE_MIN_STEP
+# in max-norm, after _ACTIVE_CAP Newton iterations, or when an iteration is
+# cut or backtracked below _ACTIVE_MIN_STEP
 _ACTIVE_TOL = 1e-3
 _ACTIVE_CAP = 20
 _ACTIVE_MIN_STEP = 1e-3
@@ -623,8 +623,8 @@ def _solve_active(ft):
     """Newton's method on every active block of the fitter ``ft`` at once,
     with the support of each theta row and every sign held fixed (Li, Sun
     and Toh 2018; Massias, Gramfort and Salmon 2018).  Returns (accepted,
-    Newton iterations); ``ft`` changes only when the step is accepted.
-    Requires rho > 0.
+    Newton iterations taken); ``ft`` changes only when the step is
+    accepted.  Requires rho > 0.
 
     The variables x are each active group's beta_j and the theta entries on
     its row's support, with columns M = X[:, j] o A[:, k] for A = [1, Z].
@@ -639,11 +639,13 @@ def _solve_active(ft):
     iteration solves with the Hessian, H0 plus rho (I/||v|| - vv'/||v||^3)
     for v = g_j on its block and v = theta_jS on its entries, cuts the
     step to 0.99 of the first sign crossing and backtracks to the Armijo
-    condition.  The step declines on a cut or backtrack below
-    ``_ACTIVE_MIN_STEP``, a solve that fails or gives no finite descent
-    direction (a singular Hessian, as with collinear columns), or
-    ``_ACTIVE_CAP`` iterations without a gradient of at most
-    ``_ACTIVE_TOL * tol_kkt``.
+    condition.  It stops at a gradient of at most ``_ACTIVE_TOL * tol_kkt``,
+    after ``_ACTIVE_CAP`` iterations, or when an iteration stalls: a cut or
+    backtrack below ``_ACTIVE_MIN_STEP``, or a solve that fails or gives no
+    finite descent direction (a singular Hessian, as with collinear
+    columns).  A stall at the first iteration declines the step; otherwise
+    the last iterate the Armijo test accepted is installed, which keeps
+    every support and sign and has the lowest objective of the step.
     An accepted step moves r by -QM d and the intercepts by -A^+ M d, so the
     fit's objective falls by the restricted objective's decrease."""
     data, ws, rho = ft.data, ft.ws, ft.rho
@@ -679,6 +681,11 @@ def _solve_active(ft):
         gn, tn = group_norms(x)
         return rho * float(gn.sum() + tn.sum()) + float(mu_s @ x)
 
+    def value(x):
+        """The restricted objective at x, up to a constant."""
+        d = x - x0
+        return float(d @ (0.5 * (h0 @ d) - c)) + penalty(x)
+
     x = x0
     d = np.zeros_like(x0)
     f = penalty(x0)
@@ -690,33 +697,17 @@ def _solve_active(ft):
         gn, tn = gn[grp], np.where(has_row, tn, np.inf)[grp]
         u, v = x / gn, np.where(th, x, 0.0) / tn
         grad = h0 @ d - c + rho * (u + v) + mu_s
-        if np.abs(grad).max() <= tol:
+        if it == _ACTIVE_CAP or np.abs(grad).max() <= tol:
             break
-        if it == _ACTIVE_CAP:
-            return False, it
         hess = h0 + rho * (np.diag(1.0 / gn + th / tn) - same * (
             np.outer(u, u / gn) + np.outer(v, v / tn)))
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            return False, it
-        slope = float(grad @ step)
-        # also false for a NaN step
-        if not slope < 0.0:
-            return False, it
-        cross = fixed & (step * x < 0.0)
-        t = min(1.0, 0.99 * float((-x[cross] / step[cross]).min())) \
-            if cross.any() else 1.0
-        while True:
-            if not t >= _ACTIVE_MIN_STEP:
-                return False, it
-            x_new = x + t * step
-            d_new = x_new - x0
-            f_new = float(d_new @ (0.5 * (h0 @ d_new) - c)) + penalty(x_new)
-            if f_new <= f + _ARMIJO * t * slope + slack:
-                break
-            t *= 0.5
-        x, d, f = x_new, d_new, f_new
+        moved = _newton_move(x, f, grad, hess, fixed, value, slack)
+        if moved is None:
+            if not it:
+                return False, 0
+            break
+        x, f = moved
+        d = x - x0
     ft.beta[jj[~th]] = x[~th]
     ft.theta[jj[th], kk[th] - 1] = x[th]
     ft.r -= qm @ d
@@ -724,6 +715,33 @@ def _solve_active(ft):
     ft.beta0 -= float(shift[0])
     ft.theta0 = ft.theta0 - shift[1:]
     return True, it
+
+
+def _newton_move(x, f, grad, hess, fixed, value, slack):
+    """One iteration of ``_solve_active`` from x, whose objective ``value``
+    is f: (x_new, value(x_new)) after the Newton step cut to 0.99 of the
+    first zero crossing of a ``fixed`` entry and backtracked to the Armijo
+    condition, or None when it stalls (a cut or backtrack below
+    ``_ACTIVE_MIN_STEP``, or no finite descent direction)."""
+    try:
+        step = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    slope = float(grad @ step)
+    # also false for a NaN step
+    if not slope < 0.0:
+        return None
+    cross = fixed & (step * x < 0.0)
+    t = min(1.0, 0.99 * float((-x[cross] / step[cross]).min())) \
+        if cross.any() else 1.0
+    # also false for a NaN cut
+    while t >= _ACTIVE_MIN_STEP:
+        x_new = x + t * step
+        f_new = value(x_new)
+        if f_new <= f + _ARMIJO * t * slope + slack:
+            return x_new, f_new
+        t *= 0.5
+    return None
 
 
 # ---------------------------------------------------------------------------

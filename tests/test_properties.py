@@ -544,19 +544,34 @@ def test_row_visit_meets_block_oracle(seed, n, k, design, lam, alpha, visits,
 
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
-       p=st.integers(1, 8), k=st.integers(2, 5),
-       frac=st.floats(0.02, 0.8), alpha=st.floats(0.0, 0.95),
-       shift=st.floats(1.0, 1.5), loose=st.floats(1e-4, 1e-1))
-def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
-                                                    alpha, shift, loose):
-    # the Newton step over every active block, from a settled iterate: a
-    # loose fit at lam or at a larger penalty, refreshed.  It either
-    # declines and leaves the fitter as it was, or keeps every theta
-    # support and sign (and the sign of each beta without a row), keeps r
-    # the residual of the fit, stops at a stationary point of the restricted
-    # objective and does not raise the objective
+@contextlib.contextmanager
+def newton_moves(min_step=None):
+    """Yield a list that fills, while the block runs, with the result of
+    every iteration of the Newton step over the active blocks
+    (``solver._newton_move``): None for one that stalled.  ``min_step``, if
+    given, replaces ``solver._ACTIVE_MIN_STEP`` for the block."""
+    seen = []
+    move, old_min = solver._newton_move, solver._ACTIVE_MIN_STEP
+
+    def spy(*args):
+        got = move(*args)
+        seen.append(got)
+        return got
+
+    solver._newton_move = spy
+    if min_step is not None:
+        solver._ACTIVE_MIN_STEP = min_step
+    try:
+        yield seen
+    finally:
+        solver._newton_move, solver._ACTIVE_MIN_STEP = move, old_min
+
+
+def _newton_case(seed, n, p, k, frac, alpha, shift, loose, min_step=None):
+    """Run the Newton step over every active block from a settled iterate:
+    a loose fit at lam or at a larger penalty, refreshed.  Returns the
+    fitter after the step, its state and objective before it, what the
+    step returned and the result of each of its iterations."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     Z = rng.standard_normal((n, k))
@@ -579,9 +594,19 @@ def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
     before = (ft.beta.copy(), ft.theta.copy(), ft.r.copy(), ft.beta0,
               ft.theta0.copy(), ft.rows.copy())
     f0 = objective(ft._build_fit(), data).total
-    accepted, iters = solver._solve_active(ft)
-    event(f"accepted: {accepted}")
+    with newton_moves(min_step) as moves:
+        accepted, iters = solver._solve_active(ft)
     assert 0 <= iters <= solver._ACTIVE_CAP
+    return ft, before, f0, accepted, iters, moves
+
+
+def _check_newton_step(ft, before, f0, accepted, stationary):
+    """A declined step leaves the fitter as it was.  An accepted one keeps
+    every theta support and sign (and the sign of each beta without a row),
+    keeps r the residual of the fit and does not raise the objective; if
+    ``stationary``, it also stops at a stationary point of the restricted
+    objective."""
+    data = ft.data
     if not accepted:
         for a, b in zip(before, (ft.beta, ft.theta, ft.r, ft.beta0,
                                  ft.theta0, ft.rows)):
@@ -593,13 +618,16 @@ def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
     np.testing.assert_array_equal(np.sign(ft.beta[~rows]), np.sign(b0[~rows]))
     fit = ft._build_fit()
     np.testing.assert_allclose(ft.r, data.y - predict(fit, data.X, data.Z),
-                               rtol=0.0, atol=1e-12 * max(1.0,
-                                                          np.abs(y).max()))
+                               rtol=0.0, atol=1e-12 * max(
+                                   1.0, np.abs(data.y).max()))
     f1 = objective(fit, data).total
     assert f1 <= f0 + 1e-12 * max(1.0, abs(f0))
+    if not stationary:
+        return
     # stationary on the active variables: the KKT entries of each active
     # beta and each theta entry on its row's support
-    rho, mu = (1.0 - alpha) * lam, alpha * lam
+    rho, mu = ft.rho, ft.mu
+    n = data.n_samples
     act = np.flatnonzero((ft.beta != 0.0) | ft.rows)
     a = data.X.T @ ft.r / n
     q = data.X.T @ (data.Z * ft.r[:, None]) / n
@@ -611,4 +639,51 @@ def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
             on = th != 0.0
             res.extend((rho * th * (1.0 / gn + 1.0 / np.linalg.norm(th))
                         + mu * np.sign(th) - q[j])[on])
-        assert np.abs(res).max() <= solver._ACTIVE_TOL * cfg.tol_kkt + 1e-12
+        assert np.abs(res).max() <= solver._ACTIVE_TOL * ft.cfg.tol_kkt \
+            + 1e-12
+
+
+_NEWTON_CASES = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+    p=st.integers(1, 8), k=st.integers(2, 5), frac=st.floats(0.02, 0.8),
+    alpha=st.floats(0.0, 0.95), shift=st.floats(1.0, 1.5),
+    loose=st.floats(1e-4, 1e-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_NEWTON_CASES)
+def test_active_newton_step_keeps_signs_or_declines(seed, n, p, k, frac,
+                                                    alpha, shift, loose):
+    # a step that declines leaves the fitter as it was; one that met its
+    # gradient test (no iteration stalled, fewer than _ACTIVE_CAP taken)
+    # keeps every clause of _check_newton_step, restricted stationarity too
+    ft, before, f0, accepted, iters, moves = _newton_case(
+        seed, n, p, k, frac, alpha, shift, loose)
+    met = accepted and None not in moves and iters < solver._ACTIVE_CAP
+    event(f"accepted: {accepted}, gradient test met: {met}")
+    _check_newton_step(ft, before, f0, accepted, met)
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=3788219109, n=41, p=4, k=5, frac=0.5641063281888976,
+         alpha=0.05109103590356295, shift=1.3108754640379918,
+         loose=0.037007116494462325, min_step=0.5)
+@example(seed=16603013, n=42, p=7, k=4, frac=0.27164044539593096,
+         alpha=0.1124505386655601, shift=1.3099052458664708,
+         loose=0.002572064031173634, min_step=0.5)
+@given(min_step=st.sampled_from((0.5, 1.0)), **_NEWTON_CASES)
+def test_active_newton_step_stopped_by_a_cut_keeps_its_iterate(
+        seed, n, p, k, frac, alpha, shift, loose, min_step):
+    # with a larger least step, cuts and backtracks stall the step often;
+    # a stall at the first iteration declines, a later one installs the
+    # last iterate the Armijo test accepted, which keeps every clause but
+    # restricted stationarity (the pinned examples stall at iteration 2)
+    ft, before, f0, accepted, iters, moves = _newton_case(
+        seed, n, p, k, frac, alpha, shift, loose, min_step)
+    stalled = None in moves
+    if stalled:
+        assert moves.index(None) == len(moves) - 1 == iters
+        assert accepted == (iters > 0)
+    event(f"stalled at iteration {iters}" if stalled else "no stall")
+    _check_newton_step(ft, before, f0, accepted, not stalled
+                       and iters < solver._ACTIVE_CAP)
