@@ -295,8 +295,9 @@ def _block_minimize(gram, c, g0, rho, mu, cfg: SolverConfig):
     With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
     is 0.5 g'G g - c'g + const for G = D'D/N (``gram``) and c = D'r/N, so
     every iteration works on (K+1)-vectors only, and L, the largest
-    eigenvalue of G, bounds its curvature exactly.  Each step takes g_new = T(y) at the
-    momentum point y, with T(y) = prox_group(y - t (G y - c), t rho, t mu)
+    eigenvalue of G, bounds its curvature exactly.  Each step takes
+    g_new = T(y) at the momentum point y, with
+    T(y) = prox_group(y - t (G y - c), t rho, t mu)
     on the stacked block, so no step splits or restacks g.  T is
     nonexpansive for t <= 1/L, so ||T(g_new) - g_new||_2 <= ||g_new - y||_2
     and a small move from y certifies g_new.  Otherwise momentum restarts
@@ -677,21 +678,19 @@ def _solve_active(ft):
         return (np.sqrt(np.bincount(grp, x2, act.size)),
                 np.sqrt(np.bincount(grp, np.where(th, x2, 0.0), act.size)))
 
-    def penalty(x):
-        gn, tn = group_norms(x)
-        return rho * float(gn.sum() + tn.sum()) + float(mu_s @ x)
-
     def value(x):
         """The restricted objective at x, up to a constant."""
         d = x - x0
-        return float(d @ (0.5 * (h0 @ d) - c)) + penalty(x)
+        gn, tn = group_norms(x)
+        return float(d @ (0.5 * (h0 @ d) - c)) + (
+            rho * float(gn.sum() + tn.sum()) + float(mu_s @ x))
 
     x = x0
-    d = np.zeros_like(x0)
-    f = penalty(x0)
+    f = value(x0)
     slack = _ARMIJO_ROUND * f
     tol = _ACTIVE_TOL * ft.cfg.tol_kkt
     for it in range(_ACTIVE_CAP + 1):
+        d = x - x0
         gn, tn = group_norms(x)
         # per variable; a group without a row has no theta norm
         gn, tn = gn[grp], np.where(has_row, tn, np.inf)[grp]
@@ -707,7 +706,6 @@ def _solve_active(ft):
                 return False, 0
             break
         x, f = moved
-        d = x - x0
     ft.beta[jj[~th]] = x[~th]
     ft.theta[jj[th], kk[th] - 1] = x[th]
     ft.r -= qm @ d
@@ -832,15 +830,10 @@ class _Fitter:
         if g is None:
             g, stopped = _block_minimize(gram, c, g0, rho, self.mu, self.cfg)
             self.n_prox_capped += not stopped
-        self._set_block(j, g)
-        self._move(x_j, g - g0)
-
-    def _set_block(self, j, g):
-        row = g[1:]
-        has_row = bool(row.any())
         self.beta[j] = g[0]
-        self.theta[j] = row if has_row else 0.0
-        self.rows[j] = has_row
+        self.rows[j] = has_row = bool(g[1:].any())
+        self.theta[j] = g[1:] if has_row else 0.0
+        self._move(x_j, g - g0)
 
     def _move(self, x_j, step):
         """r -= D_j step = x_j o (A step) for a change ``step`` of block j."""
