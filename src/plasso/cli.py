@@ -29,7 +29,7 @@ from .solver import ConvergenceError, SolverConfig
 
 def _solver_config(args) -> SolverConfig:
     kwargs = {"alpha": args.alpha, "tol_kkt": args.tol}
-    if getattr(args, "no_standardize", False):
+    if args.no_standardize:
         kwargs.update(standardize_x=False, standardize_z=False, center_y=False)
     return SolverConfig(**kwargs)
 
@@ -78,7 +78,7 @@ def cmd_fit(args, invocation):
     save_model(args.model, result, invocation=invocation,
                x_columns=x_names, z_columns=z_names)
     if args.metrics:
-        yhat = result.predict(data.X, data.Z if data.n_modifiers else None)
+        yhat = result.predict(data.X, data.Z)
         write_table(args.metrics, _METRIC_NAMES,
                     _metrics_rows(result, data.y, yhat), invocation)
     return 0
@@ -108,32 +108,34 @@ def cmd_cv(args, invocation):
     return 0
 
 
+def _named_columns(names, mat, want, default=None):
+    """The columns of ``mat`` named in ``want``, in that order, if ``want``
+    is nonempty and ``names`` holds every one of them; else ``default``."""
+    if want and all(c in names for c in want):
+        idx = {c: i for i, c in enumerate(names)}
+        return mat[:, [idx[c] for c in want]]
+    return default
+
+
 def cmd_predict(args, invocation):
     model = load_model(args.model)
     names, mat = read_delimited(args.data)
     p = len(model.fits[0].beta)
-    want = model.x_columns
-    if want and all(c in names for c in want):
-        idx = {c: i for i, c in enumerate(names)}
-        X = mat[:, [idx[c] for c in want]]
-    elif mat.shape[1] == p:
-        X = mat
-    else:
+    X = _named_columns(names, mat, model.x_columns,
+                       mat if mat.shape[1] == p else None)
+    if X is None:
         raise DataFormatError(
             f"{args.data}: cannot locate the {p} model predictors "
-            f"(columns {want}) among {', '.join(names)}")
+            f"(columns {model.x_columns}) among {', '.join(names)}")
     Z = None
     k = model.fits[0].n_modifiers
     if k:
         if args.z_file:
-            z_names, Z = read_delimited(args.z_file)
-            if model.z_columns and all(c in z_names for c in model.z_columns):
-                zidx = {c: i for i, c in enumerate(z_names)}
-                Z = Z[:, [zidx[c] for c in model.z_columns]]
-        elif model.z_columns and all(c in names for c in model.z_columns):
-            idx = {c: i for i, c in enumerate(names)}
-            Z = mat[:, [idx[c] for c in model.z_columns]]
+            z_names, z_mat = read_delimited(args.z_file)
+            Z = _named_columns(z_names, z_mat, model.z_columns, z_mat)
         else:
+            Z = _named_columns(names, mat, model.z_columns)
+        if Z is None:
             raise DataFormatError(
                 f"model expects {k} modifier columns "
                 f"({model.z_columns}); pass --z-file or include them")
@@ -144,11 +146,9 @@ def cmd_predict(args, invocation):
 
 
 def _sim_table(ds):
-    p, k = ds.n_predictors, ds.n_modifiers
-    names = ["y"] + [f"x{j + 1}" for j in range(p)] + \
-        [f"z{j + 1}" for j in range(k)]
-    cols = [ds.y[:, None], ds.X] + ([ds.Z] if k else [])
-    return names, np.hstack(cols)
+    names = ["y"] + [f"x{j + 1}" for j in range(ds.n_predictors)] + \
+        [f"z{j + 1}" for j in range(ds.n_modifiers)]
+    return names, np.hstack([ds.y[:, None], ds.X, ds.Z])
 
 
 def cmd_simulate(args, invocation):
@@ -179,8 +179,7 @@ def cmd_df(args, invocation):
     cfg = SolverConfig(alpha=args.alpha)
     train = sim.train
     ref = fit_path(train, cfg, n_lambda=args.nlambda)
-    est = bootstrap_df(sim.truth.mu_train, sigma, train.X,
-                       train.Z if train.n_modifiers else None,
+    est = bootstrap_df(sim.truth.mu_train, sigma, train.X, train.Z,
                        ref.lambdas, cfg, n_boot=args.B, seed=args.seed + 1)
     rows = [[est.lambdas[i], est.df_cov[i], est.n_nonzero_beta[i],
              est.n_nonzero_all[i]] for i in range(est.lambdas.size)]

@@ -96,14 +96,12 @@ def _fold_errors(data, cfg, grid, ids, f):
     the rows of fold ``f``."""
     test = ids == f
     train = ~test
-    sub = Dataset(data.y[train], data.X[train],
-                  data.Z[train] if data.n_modifiers else None)
+    sub = Dataset(data.y[train], data.X[train], data.Z[train])
     try:
         fold_path = fit_path(sub, cfg, lambdas=grid)
     except StandardizationError as err:
         raise StandardizationError(f"fold {f}: {err}") from err
-    preds = fold_path.predict(data.X[test],
-                              data.Z[test] if data.n_modifiers else None)
+    preds = fold_path.predict(data.X[test], data.Z[test])
     return ((data.y[test, None] - preds) ** 2).mean(axis=0)
 
 

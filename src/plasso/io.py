@@ -258,17 +258,14 @@ def _diagnostics_from_list(diags: list, n: int, where: str) -> tuple:
     return tuple({**d, "n_prox_capped": d.get("n_prox_capped")} for d in diags)
 
 
+# the keys of the standardization record are the fields of
+# StandardizationMap: four arrays, y_mean and three flags
+_SMAP_KEYS = tuple(f.name for f in fields(StandardizationMap))
+
+
 def _smap_to_dict(smap: StandardizationMap) -> dict:
-    return {
-        "x_means": smap.x_means.tolist(), "x_scales": smap.x_scales.tolist(),
-        "z_means": smap.z_means.tolist(), "z_scales": smap.z_scales.tolist(),
-        "y_mean": smap.y_mean, "standardize_x": smap.standardize_x,
-        "standardize_z": smap.standardize_z, "center_y": smap.center_y,
-    }
-
-
-_SMAP_KEYS = ("x_means", "x_scales", "z_means", "z_scales", "y_mean",
-              "standardize_x", "standardize_z", "center_y")
+    # a 0-d array's tolist() is the plain float or bool
+    return {key: np.asarray(getattr(smap, key)).tolist() for key in _SMAP_KEYS}
 
 
 def _smap_from_dict(d: dict, p: int, k: int, where: str) -> StandardizationMap:
@@ -348,9 +345,6 @@ class LoadedModel:
         return self.idx_min if self.cv else self.n_lambdas - 1
 
     def predict(self, X, Z=None, index=None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if Z is not None:
-            Z = np.asarray(Z, dtype=float)
         if index is None:
             index = self.default_index()
         _check_index(index, self.n_lambdas)

@@ -266,8 +266,7 @@ def _linear_predictor(fit: PliableFit, X, Z) -> np.ndarray:
     """``predict``'s formula without its checks: X (N, p) and Z (N, K) must
     already be finite float arrays that match the fit."""
     yhat = np.full(X.shape[0], fit.beta0)
-    if fit.n_modifiers:
-        yhat += Z @ fit.theta0
+    yhat += Z @ fit.theta0
     yhat += X @ fit.beta
     for j, row in fit.theta_rows.items():
         yhat += X[:, j] * (Z @ row)

@@ -90,11 +90,12 @@ def lambda_max(data: Dataset, alpha: float) -> float:
     """Smallest penalty at which every block's zero certificate holds, with
     the residual taken after the intercept-only least squares on (1, Z).
 
-    The certificate slack of each block is monotone in lam, so all blocks
-    are bisected at once between |a|/(1-alpha), where a block with no
-    theta pull already certifies, and max(|a|, ||q||)/(1-alpha); the upper
-    end of each final bracket is taken so a fit at the result is exactly
-    all-zero.
+    The largest certificate slack over the blocks falls as lam grows, so one
+    bisection finds where it reaches zero, between max|a|/(1-alpha), below
+    which some beta pull breaks its certificate, and
+    max(|a|, ||q||)/(1-alpha), where every block certifies.  The end of the
+    final bracket that certifies is returned, so a fit at the result is
+    exactly all-zero.
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -103,25 +104,22 @@ def lambda_max(data: Dataset, alpha: float) -> float:
     r = data.y - A @ coef
     a, q = _pulls(data.X, A.T / data.n_samples, r)
     scale = 1.0 - alpha
-    lo = np.abs(a) / scale
-    hi = np.maximum(lo, np.sqrt(np.square(q).sum(axis=1)) / scale)
-    out = lo.copy()
-    todo = np.nonzero(_zero_slack(a, q, scale * lo, alpha * lo) > 0.0)[0]
-    lo, hi = lo[todo], hi[todo]
-    for _ in range(200):
-        done = hi - lo <= 1e-10 * hi
-        out[todo[done]] = hi[done]
-        todo, lo, hi = todo[~done], lo[~done], hi[~done]
-        if not todo.size:
-            break
+
+    def holds(lam):
+        return _zero_slack(a, q, scale * lam, alpha * lam).max() <= 0.0
+
+    lo = np.abs(a).max() / scale
+    q_norm = np.sqrt(np.square(q).sum(axis=1)).max()
+    hi = lo if holds(lo) else max(lo, q_norm / scale)
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        holds = _zero_slack(a[todo], q[todo], scale * mid, alpha * mid) <= 0.0
-        hi = np.where(holds, mid, hi)
-        lo = np.where(holds, lo, mid)
-    out[todo] = hi
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
     # a hair of slack so the certificate still holds when the solver
     # accumulates the pulls in a different order than the sums above
-    return float(out.max()) * (1.0 + 1e-12)
+    return float(hi) * (1.0 + 1e-12)
 
 
 def default_lambda_min_ratio(n: int, p: int, k: int) -> float:
@@ -159,8 +157,6 @@ def lambda_grid(lam_max: float, n_lambda: int, min_ratio: float) -> np.ndarray:
     _check_min_ratio(min_ratio, "min_ratio")
     if lam_max == 0:
         return np.zeros(1)
-    if n_lambda == 1:
-        return np.array([lam_max])
     return np.geomspace(lam_max, lam_max * min_ratio, n_lambda)
 
 

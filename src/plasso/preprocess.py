@@ -31,7 +31,7 @@ class StandardizationError(ValueError):
 
 
 def _column_stats(M, label, enabled):
-    if not enabled or M.shape[1] == 0:
+    if not enabled:
         return np.zeros(M.shape[1]), np.ones(M.shape[1])
     means = M.mean(axis=0)
     scales = M.std(axis=0, ddof=VARIANCE_DDOF)
@@ -133,10 +133,10 @@ def destandardize_fit(fit: PliableFit, smap: StandardizationMap) -> PliableFit:
     sz, mz = smap.z_scales, smap.z_means
     rows_raw = {j: row / (sx[j] * sz) for j, row in fit.theta_rows.items()}
     beta_raw = fit.beta / sx
-    theta0_raw = fit.theta0 / sz if k else fit.theta0.copy()
+    theta0_raw = fit.theta0 / sz
     beta0_raw = (fit.beta0 + smap.y_mean
                  - float((fit.beta / sx) @ mx)
-                 - (float((fit.theta0 / sz) @ mz) if k else 0.0))
+                 - float(theta0_raw @ mz))
     for j, row in rows_raw.items():
         shift = float(row @ mz)
         beta_raw[j] -= shift

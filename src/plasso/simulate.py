@@ -132,13 +132,9 @@ def _hte_effect(name, X):
     return (X[:, 0] > 0).astype(float)
 
 
-def _draw_xz(rng, n, p, k, binary_z=True):
+def _draw_xz(rng, n, p, k):
     X = rng.standard_normal((n, p))
-    if k == 0:
-        return X, np.zeros((n, 0))
-    Z = rng.integers(0, 2, size=(n, k)).astype(float) if binary_z \
-        else rng.standard_normal((n, k))
-    return X, Z
+    return X, rng.integers(0, 2, size=(n, k)).astype(float)
 
 
 def _unknown_z_draw(rng, n, p, sd):
@@ -192,7 +188,7 @@ def generate(spec: SimSpec) -> SimData:
         X, Z = _draw_xz(rng, n, spec.p, spec.k)
         mu = mean_fn(X, Z)
         y = mu + sd * rng.standard_normal(n)
-        sets.append((Dataset(y, X, Z if spec.k else None), mu, X))
+        sets.append((Dataset(y, X, Z), mu, X))
     (train, mu_train, Xtr), (test, mu_test, Xte) = sets
     effect_train = effect_test = None
     if name.startswith("hte_"):

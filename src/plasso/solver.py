@@ -167,7 +167,7 @@ def _design(Z):
 def _pulls(X, at, r):
     """(a, q) = (X'r / N, X'(Z o r) / N): the pull of residual r on each
     group's main effect and on its modifier row, one row per column of X,
-    from one product with ``at`` = A'/N.  For K = 0, q has shape (p, 0)."""
+    from one product with ``at`` = A'/N."""
     pull = (at * r) @ X
     return pull[0], pull[1:].T
 
@@ -507,27 +507,25 @@ def _solve_k1(gram, c, rho, mu):
 
         0.5 g'G g - c'g + rho ||(b, t)||_2 + (rho + mu) |t|,    g = (b, t),
 
-    as plain floats.  The block is convex, so exactly one of three cases is
-    self-consistent: g = 0 (the zero certificate), t = 0 with the scalar
-    soft-threshold b = S(c_0, rho) / G_00 when the theta pull at that b is at
-    most rho + mu, or t != 0 with sign s, where (rho + mu)|t| is linear and
-    the block is a group lasso with c - (rho + mu) s e_2 (Friedman, Hastie
-    and Tibshirani 2010).  The joint case is solved in the eigenbasis of G,
-    which may be singular (x_j o z proportional to x_j).  Should rounding
-    leave no case self-consistent, the candidate with the lowest block
-    objective is returned."""
+    as plain floats.  The block is convex, so one of two cases is
+    self-consistent.  Either t = 0 and b is the scalar soft-threshold
+    b = S(c_0, rho) / G_00, which holds when the soft-thresholded theta pull
+    at (b, 0) is at most its budget: rho once b != 0, and at b = 0 the zero
+    certificate's rho + sqrt(rho^2 - c_0^2), as in the K >= 2 visit.  Or
+    t != 0 with sign s, where (rho + mu)|t| is linear and the block is a
+    group lasso with c - (rho + mu) s e_2 (Friedman, Hastie and Tibshirani
+    2010), solved in the eigenbasis of G, which may be singular (x_j o z
+    proportional to x_j).  Should rounding leave no case self-consistent,
+    the candidate with the lowest block objective is returned."""
     (g00, g01), (_, g11) = gram
     c0, c1 = c
-    # the zero certificate (``_zero_slack``) in plain floats
-    if abs(c0) <= rho and max(abs(c1) - mu, 0.0) <= rho + math.sqrt(
-            max(rho * rho - c0 * c0, 0.0)):
-        return 0.0, 0.0
-    rm = rho + mu
-    # G_00 > 0 here: an all-zero x_j has c = 0, which certifies zero above
+    # an all-zero x_j has c = 0, so b = 0 and G_00 is never divided by
     b = math.copysign(abs(c0) - rho, c0) / g00 if abs(c0) > rho else 0.0
     pull = c1 - g01 * b
-    if abs(pull) <= rm:
+    if max(abs(pull) - mu, 0.0) <= (
+            rho if b else rho + math.sqrt(max(rho * rho - c0 * c0, 0.0))):
         return b, 0.0
+    rm = rho + mu
     cands = [(0.0, 0.0), (b, 0.0)]
     s = 1.0 if pull > 0.0 else -1.0
     half = 0.5 * (g00 - g11)
@@ -567,7 +565,6 @@ def _kkt_arrays(data: Dataset, at, r, beta, theta, lam, alpha) -> KktReport:
 
     with (a, q) the pulls of group j, tn = ||theta_j||_2 and
     gn = ||(beta_j, theta_j)||_2.  ``intercept`` is max |A'r / N|."""
-    p = data.n_predictors
     rho = (1.0 - alpha) * lam
     mu = alpha * lam
     a_all, q_all = _pulls(data.X, at, r)
@@ -587,10 +584,9 @@ def _kkt_arrays(data: Dataset, at, r, beta, theta, lam, alpha) -> KktReport:
     res_zero = np.maximum(np.sqrt(np.square(excess).sum(axis=1)) - rho, 0.0)
     per[act] = np.maximum(res_b, np.where(no_row, res_zero, res_th))
     intercept = float(np.abs(at @ r).max())
-    worst = int(np.argmax(per)) if p else 0
     return KktReport(per_group=per, intercept=intercept,
-                     max_violation=max(float(per.max()) if p else 0.0, intercept),
-                     worst_group=worst)
+                     max_violation=max(float(per.max()), intercept),
+                     worst_group=int(np.argmax(per)))
 
 
 def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport:
@@ -755,35 +751,26 @@ class _Fitter:
         self.rho = (1.0 - cfg.alpha) * lam
         self.mu = cfg.alpha * lam
         p, k = data.n_predictors, data.n_modifiers
-        if warm is not None:
-            if warm.n_predictors != p or warm.n_modifiers != k:
-                raise ValueError("warm start has wrong dimensions")
-            self.beta = warm.beta.copy()
-            self.theta = warm.theta
-            self.beta0 = warm.beta0
-            self.theta0 = warm.theta0.copy()
-        else:
-            self.beta = np.zeros(p)
-            self.theta = np.zeros((p, k))
-            self.beta0 = 0.0
-            self.theta0 = np.zeros(k)
+        if warm is None:  # a cold start is the all-zero warm start
+            warm = PliableFit.zeros(p, k)
+        elif warm.n_predictors != p or warm.n_modifiers != k:
+            raise ValueError("warm start has wrong dimensions")
+        self.beta = warm.beta.copy()
+        self.theta = warm.theta
+        self.beta0 = warm.beta0
+        self.theta0 = warm.theta0.copy()
         # groups whose theta row is nonzero; every write to theta updates it
         self.rows = self.theta.any(axis=1)
-        self.r = (data.y - _linear_predictor(warm, data.X, data.Z)
-                  if warm is not None else data.y.copy())
+        self.r = data.y - _linear_predictor(warm, data.X, data.Z)
         self.n_passes = 0
         self.n_prox_capped = 0
 
     def _refresh_intercepts(self):
-        target = self.r + self.beta0
-        if self.data.n_modifiers:
-            target = target + self.data.Z @ self.theta0
+        target = self.r + self.beta0 + self.data.Z @ self.theta0
         coef = self.ws.solve_intercepts(target)
         self.beta0 = float(coef[0])
         self.theta0 = coef[1:]
-        self.r = target - self.beta0
-        if self.data.n_modifiers:
-            self.r -= self.data.Z @ self.theta0
+        self.r = target - self.beta0 - self.data.Z @ self.theta0
 
     def _active(self):
         return (self.beta != 0.0) | self.rows

@@ -111,6 +111,44 @@ def zero_threshold_oracle(X, Z, r, alpha):
     return best
 
 
+def lambda_max_per_group(X, Z, y, alpha):
+    """The smallest all-zero penalty with one bisection per group.
+
+    After the intercept-only least squares on (1, Z), with a and q the
+    beta and theta pulls of the residual, group j is bisected on its own
+    bracket, from |a_j|/(1-alpha), where it certifies unless its theta
+    pull breaks the certificate, to max(|a_j|, ||q_j||)/(1-alpha), until
+    the bracket is narrower than 1e-10 of its upper end.  Each group
+    keeps the end of its bracket that certifies; the largest, times
+    1 + 1e-12, is returned.
+    """
+    n, p = X.shape
+    A = np.column_stack([np.ones(n), Z])
+    r = y - A @ (np.linalg.pinv(A) @ y)
+    scale = 1.0 - alpha
+    best = 0.0
+    for j in range(p):
+        a = X[:, j] @ r / n
+        q = (X[:, j] * r) @ Z / n
+
+        def slack(lam):
+            rho = scale * lam
+            excess = np.maximum(np.abs(q) - alpha * lam, 0.0)
+            budget = rho + np.sqrt(max(rho * rho - a * a, 0.0))
+            return max(abs(a) - rho, np.sqrt(excess @ excess) - budget)
+
+        lo = abs(a) / scale
+        hi = lo if slack(lo) <= 0.0 else max(lo, np.sqrt(q @ q) / scale)
+        while hi - lo > 1e-10 * hi:
+            mid = 0.5 * (lo + hi)
+            if slack(mid) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        best = max(best, hi)
+    return best * (1.0 + 1e-12)
+
+
 def prox_oracle(zeta_beta, zeta_theta, c, l1):
     """Nested-bisection solution of the block proximal problem.
 

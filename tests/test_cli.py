@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from plasso.cli import main
+from plasso.cv import k_fold_cv
+from plasso.extras import bootstrap_df
 from plasso.io import load_model, read_delimited
+from plasso.model import Dataset
+from plasso.path import fit_path
+from plasso.simulate import SimSpec, generate
 
 
 def write_training_file(path, seed=0, n=60, p=4):
@@ -215,6 +220,69 @@ class TestSimulateDfUnknownzHte:
         assert names == ["row", "effect_true", "effect_fit"]
         assert mat.shape == (500, 3)
         assert "# r_squared\t" in out.read_text()
+
+
+class TestNoModifiers:
+    """K = 0 end to end: the commands read no modifier columns, so every
+    file holds a plain lasso path.  Each table equals what the library
+    gives with Z=None; the pinned numbers are the outputs of the code
+    before K = 0 lost its own branches."""
+
+    def test_fit_cv_and_predict(self, tmp_path):
+        data = tmp_path / "d.tsv"
+        write_training_file(data, seed=2)  # "w" is a fifth predictor here
+        _, mat = read_delimited(data)
+        y, X = mat[:, 0], mat[:, 1:]
+        metrics = tmp_path / "metrics.tsv"
+        assert main(["fit", "--data", str(data), "--model",
+                     str(tmp_path / "m.json"), "--metrics", str(metrics),
+                     "--nlambda", "8"]) == 0
+        assert load_model(tmp_path / "m.json").fits[0].n_modifiers == 0
+        rows = [ln.split("\t") for ln in metrics.read_text().splitlines()[2:]]
+        assert {r[2] for r in rows} == {"0"} and {r[-1] for r in rows} == {"-"}
+        path = fit_path(Dataset(y, X), n_lambda=8)
+        assert [float(r[0]) for r in rows] == path.lambdas.tolist()
+        mse = ((path.predict(X) - y[:, None]) ** 2).mean(axis=0)
+        np.testing.assert_allclose([float(r[7]) for r in rows], mse,
+                                   rtol=1e-12)
+        assert float(rows[0][0]) == pytest.approx(5.216290674278847, rel=1e-9)
+        assert float(rows[-1][7]) == pytest.approx(0.6351917705111352,
+                                                   rel=1e-9)
+
+        model = tmp_path / "cv.json"
+        table = tmp_path / "cv.tsv"
+        assert main(["cv", "--data", str(data), "--model", str(model),
+                     "--output", str(table), "--nlambda", "8", "--folds", "4",
+                     "--seed", "3"]) == 0
+        cv_mean = [float(ln.split("\t")[1])
+                   for ln in table.read_text().splitlines()[5:]]
+        cv = k_fold_cv(Dataset(y, X), n_folds=4, seed=3, n_lambda=8)
+        assert cv_mean == cv.cv_mean.tolist()
+        assert (cv.idx_min, cv.idx_1se) == (5, 4)
+        assert cv.cv_mean[5] == pytest.approx(0.7562676540791404, rel=1e-9)
+
+        out = tmp_path / "pred.tsv"
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--output", str(out)]) == 0
+        _, pred = read_delimited(out)
+        np.testing.assert_allclose(pred[:, 0], cv.path.predict(X, index=5),
+                                   rtol=0, atol=1e-10)
+        assert pred[0, 0] == pytest.approx(0.45638416942595084, rel=1e-9)
+
+    def test_df(self, tmp_path):
+        out = tmp_path / "df.tsv"
+        assert main(["df", "--spec", "unknown_z", "--B", "3", "--nlambda", "4",
+                     "--seed", "1", "--output", str(out)]) == 0
+        _, tab = read_delimited(out)
+        sim = generate(SimSpec("unknown_z", seed=1))
+        grid = fit_path(sim.train, n_lambda=4).lambdas
+        est = bootstrap_df(sim.truth.mu_train, 0.25, sim.train.X, None, grid,
+                           n_boot=3, seed=2)
+        assert tab[:, 0].tolist() == grid.tolist()
+        assert tab[:, 1].tolist() == est.df_cov.tolist()
+        np.testing.assert_allclose(
+            tab[:, 1], [1.2608600222869433, 11.767078156447717,
+                        15.882159953830799, 15.882006925496471], rtol=1e-9)
 
 
 class TestDeterminism:

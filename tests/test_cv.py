@@ -20,8 +20,7 @@ def cv_data(rng, n=70, p=5, k=2):
 def fold_sets(data, ids, f):
     """(training, held-out) Datasets of fold f."""
     def rows(mask):
-        return Dataset(data.y[mask], data.X[mask],
-                       data.Z[mask] if data.n_modifiers else None)
+        return Dataset(data.y[mask], data.X[mask], data.Z[mask])
     return rows(ids != f), rows(ids == f)
 
 
@@ -51,20 +50,23 @@ class TestEvaluate:
         rng = np.random.default_rng(31)
         data = cv_data(rng, n=30)
         ids = np.arange(30) % 3
-        res = k_fold_cv(data, folds=ids, n_lambda=8)
-        errs = np.empty((3, res.lambdas.size))
-        for f in range(3):
-            train, test = fold_sets(data, ids, f)
-            fold_path = fit_path(train, lambdas=res.lambdas)
-            preds = fold_path.predict(test.X, test.Z)
-            errs[f] = ((test.y[:, None] - preds) ** 2).mean(axis=0)
-            for i in range(res.lambdas.size):
-                loss = objective(fold_path.fit_raw(i), test).loss
-                assert errs[f, i] == pytest.approx(2.0 * loss, rel=1e-12)
-        np.testing.assert_allclose(res.cv_mean, errs.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(res.cv_se,
-                                   errs.std(axis=0, ddof=1) / np.sqrt(3),
-                                   rtol=1e-12)
+        # Z=None stands for an (N, 0) Z, which the folds split like any other
+        for data in (data, Dataset(data.y, data.X)):
+            res = k_fold_cv(data, folds=ids, n_lambda=8)
+            errs = np.empty((3, res.lambdas.size))
+            for f in range(3):
+                train, test = fold_sets(data, ids, f)
+                fold_path = fit_path(train, lambdas=res.lambdas)
+                preds = fold_path.predict(test.X, test.Z)
+                errs[f] = ((test.y[:, None] - preds) ** 2).mean(axis=0)
+                for i in range(res.lambdas.size):
+                    loss = objective(fold_path.fit_raw(i), test).loss
+                    assert errs[f, i] == pytest.approx(2.0 * loss, rel=1e-12)
+            np.testing.assert_allclose(res.cv_mean, errs.mean(axis=0),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(res.cv_se,
+                                       errs.std(axis=0, ddof=1) / np.sqrt(3),
+                                       rtol=1e-12)
 
 
 class TestKFoldCv:

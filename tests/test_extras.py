@@ -8,6 +8,7 @@ from plasso.extras import (DfEstimate, HteResult, UnknownZConfig,
                            UnknownZResult, bootstrap_df, covariance_df,
                            fit_unknown_z, run_hte_scenario, treatment_effect)
 from plasso.model import Dataset, DimensionError, PliableFit, predict
+from plasso.path import fit_path
 from plasso.simulate import SimSpec, generate
 from plasso.solver import ConvergenceError, SolverConfig
 
@@ -82,6 +83,16 @@ class TestBootstrapDf:
         assert est.n_nonzero_beta[0] == 0
         assert est.n_nonzero_all.dtype.kind == "i"
         assert est.bootstrap_reps == 60
+
+    def test_no_modifiers_is_the_covariance_of_the_refits(self):
+        # Z=None stands for an (N, 0) Z: each replicate refits a lasso path
+        grid = [1.0, 0.3, 0.05]
+        est = bootstrap_df(self.mu, 1.0, self.X, None, grid, n_boot=4, seed=5)
+        ys = self.mu + np.random.default_rng(5).standard_normal((4, 40))
+        yhats = np.array([fit_path(Dataset(y, self.X), lambdas=grid)
+                          .predict(self.X) for y in ys])
+        assert est.df_cov.tolist() == [covariance_df(ys, yhats[:, :, i], 1.0)
+                                       for i in range(3)]
 
     def test_deterministic_in_seed(self):
         a = bootstrap_df(self.mu, 1.0, self.X, self.Z, [1.0, 0.2],

@@ -27,7 +27,8 @@ from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
                            prox_group)
 
 from oracles import (block_residual_oracle, kkt_per_group_oracle,
-                     satisfies_hierarchy, zero_threshold_oracle)
+                     lambda_max_per_group, satisfies_hierarchy,
+                     zero_threshold_oracle)
 
 
 @contextlib.contextmanager
@@ -260,6 +261,36 @@ def test_lambda_max_is_the_zero_certificate_threshold(seed, extra, p, k, alpha,
     if lmax > 0.0:
         below = check_kkt(fit, std, lam=lmax * (1.0 - 1e-6))
         assert below.per_group.max() > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 60),
+       p=st.integers(1, 8), k=st.sampled_from((0, 1, 2, 4)),
+       alpha=st.floats(0.0, 0.99), z_scale=st.sampled_from((1.0, 1e-3)))
+@example(seed=0, n=30, p=5, k=2, alpha=0.5, z_scale=1e-3)
+@example(seed=1, n=30, p=5, k=4, alpha=0.9, z_scale=1.0)
+def test_lambda_max_matches_the_per_group_bisection(seed, n, p, k, alpha,
+                                                   z_scale):
+    # z_scale = 1e-3 shrinks the theta pulls until, in most draws, the group
+    # of the largest beta pull certifies at the lower bracket end
+    # max|a|/(1-alpha); at K = 0 it always does
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    Z = z_scale * rng.standard_normal((n, k))
+    y = rng.standard_normal(n) + X[:, 0] * Z.sum(axis=1) / z_scale
+    data = Dataset(y, X, Z)
+    lmax = lambda_max(data, alpha)
+    ref = lambda_max_per_group(X, Z, y, alpha)
+    assert abs(lmax - ref) <= 1e-10 * max(lmax, ref)
+    A = np.column_stack([np.ones(n), Z])
+    lower = np.abs(X.T @ (y - A @ np.linalg.lstsq(A, y, rcond=None)[0])).max() \
+        / n / (1.0 - alpha) * (1.0 + 1e-12)
+    at_lower = lmax == pytest.approx(lower, rel=1e-12, abs=1e-15)
+    event(f"lower bracket end certifies: {at_lower}")
+    if k == 0:
+        assert at_lower
+    fit = fit_single_lambda(data, lmax, SolverConfig(alpha=alpha))
+    assert fit.active_groups == ()
 
 
 @settings(max_examples=200, deadline=None)
