@@ -18,10 +18,15 @@ the move that set its block:
 
 - ``exact``: ``_solve_on_support`` accepted a block;
 - ``loop``: the joint prox loop (``_block_minimize``) ran;
-- ``beta``: neither, and the block ends with beta_j != 0 and no theta row
-  (the beta-only soft-threshold);
+- ``beta``: neither, and the block ends with beta_j != 0 (the beta-only
+  soft-threshold, which leaves no theta row);
 - ``zero``: neither, and the block ends all-zero: at K >= 2 the visit has
   no zero certificate of its own, so this is a beta-only move to zero.
+
+The fitter's ``rows`` mask tells whether a visit is to a group with a
+theta row, and column 0 of its ``coef`` array, whose row j is the block
+(beta_j, theta_j), gives the beta a visit leaves (``beta`` in a checkout
+from before that array).
 
 Each K = 1 visit counts as ``k1``.  ``row_visits`` counts the visits to a
 group that had a theta row, ``tries`` the calls of the exact solve, and
@@ -92,13 +97,14 @@ def counting(solver, counts):
 
     def update_traced(self, j):
         seen["exact"] = seen["loop"] = False
-        counts["row_visits"] += bool(self.theta[j].any())
+        counts["row_visits"] += bool(self.rows[j])
         update(self, j)
+        beta = self.coef[j, 0] if hasattr(self, "coef") else self.beta[j]
         if seen["exact"]:
             move = "exact"
         elif seen["loop"]:
             move = "loop"
-        elif self.beta[j] != 0.0 or self.theta[j].any():
+        elif beta != 0.0:
             move = "beta"
         else:
             move = "zero"

@@ -3,8 +3,7 @@ observed (or learned) modifier variables, fit by blockwise coordinate
 descent over a warm-started penalty path.
 """
 
-from .model import (Dataset, DimensionError, PliableFit, interaction_block,
-                    objective, predict)
+from .model import Dataset, DimensionError, PliableFit, objective, predict
 from .preprocess import (StandardizationError, StandardizationMap,
                          destandardize_fit, standardize)
 from .solver import (ConvergenceError, KktReport, ProxSolveError,
@@ -22,8 +21,7 @@ from .io import (DataFormatError, LoadedModel, load_model, read_delimited,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "DimensionError", "PliableFit", "interaction_block",
-    "objective", "predict",
+    "Dataset", "DimensionError", "PliableFit", "objective", "predict",
     "StandardizationError", "StandardizationMap", "destandardize_fit",
     "standardize",
     "ConvergenceError", "KktReport", "ProxSolveError", "SolverConfig",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cv import k_fold_cv
 from .model import (Dataset, DimensionError, PliableFit, _check_cells,
-                    _check_int, predict)
+                    _check_int, objective, predict)
 from .preprocess import StandardizationMap, standardize
 from .path import _check_grid, _map_paths, fit_path
 from .simulate import SimSpec, generate
@@ -247,7 +247,6 @@ class UnknownZResult:
 
 
 def _enlarged_objective(fit, y, xs, gamma, lam, alpha, lambda2):
-    from .model import objective  # local import keeps module load light
     z = (xs @ gamma)[:, None]
     data = Dataset(y, xs, z)
     base = objective(fit, data, lam=lam, alpha=alpha).total

@@ -106,13 +106,19 @@ def split_columns(names, matrix, y_col=None, z_cols=()):
 
     ``y_col=None`` means the file has no response (prediction input).  Columns
     named in ``z_cols`` become Z, in the order given; everything else is X in
-    file order.  Returns ``(y, X, Z, x_names)`` with y and Z possibly None.
+    file order; no column may be named twice among y and Z.  Returns
+    ``(y, X, Z, x_names)`` with y and Z possibly None.
     """
     index = {name: i for i, name in enumerate(names)}
     for col in ([y_col] if y_col else []) + list(z_cols):
         if col not in index:
             raise DataFormatError(
                 f"no column named {col!r}; file has {', '.join(names)}")
+    for i, col in enumerate(z_cols):
+        if col in [y_col, *z_cols[:i]]:
+            raise DataFormatError(
+                f"column {col!r} is named twice: the modifiers must differ "
+                "from each other and from the response")
     taken = set(z_cols) | ({y_col} if y_col else set())
     x_idx = [i for i, name in enumerate(names) if name not in taken]
     if not x_idx:

@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "PliableFit",
     "PenaltyValue",
-    "interaction_block",
     "predict",
     "objective",
 ]
@@ -83,6 +82,8 @@ class Dataset:
             raise DimensionError(f"Z must be 2-d, got shape {Z.shape}")
         if Z.shape[0] != n:
             raise DimensionError(f"Z has {Z.shape[0]} rows, y has {n}")
+        _check_cells("X", X)
+        _check_cells("Z", Z)
         object.__setattr__(self, "y", _frozen_array(y, "y"))
         object.__setattr__(self, "X", _frozen_array(X, "X"))
         object.__setattr__(self, "Z", _frozen_array(Z, "Z"))
@@ -106,12 +107,13 @@ def _check_int(value, name, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_index(index, n, name="index", what="penalty levels in the model"):
-    """Raise IndexError naming ``name`` unless ``index`` is an integer in
-    [0, n), where n counts ``what``: an index never counts from the end."""
+def _check_index(index, n):
+    """Raise IndexError unless ``index`` is an integer in [0, n), where n
+    counts the penalty levels in the model: an index never counts from the
+    end."""
     if not (isinstance(index, numbers.Integral) and 0 <= index < n):
-        raise IndexError(f"{name} {index!r} is out of range: {n} {what}, "
-                         f"indices 0 to {n - 1}")
+        raise IndexError(f"index {index!r} is out of range: {n} penalty "
+                         f"levels in the model, indices 0 to {n - 1}")
 
 
 def _check_penalty(lam, alpha) -> tuple:
@@ -217,14 +219,6 @@ class PliableFit:
         for row in self.theta_rows.values():
             n += int(np.count_nonzero(row))
         return n
-
-
-def interaction_block(X, Z, j: int) -> np.ndarray:
-    """W_j = X_j o Z: column j of X multiplied elementwise into each Z column."""
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    _check_index(j, X.shape[1], "j", "columns in X")
-    return X[:, j, None] * Z
 
 
 def _as_xz(fit: PliableFit, X, Z):

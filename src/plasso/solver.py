@@ -17,20 +17,21 @@ group penalty is positive); then, on the same pull, come a soft-threshold
 update for beta_j with theta_j pinned at zero and a proximal gradient loop
 on the joint block.  With a single modifier (K = 1) one exact block solve
 replaces all of these, so no prox iteration runs and ``n_prox_capped`` is
-always 0.
+always 0.  The fitter holds the blocks as one (p, K+1) array, row j being
+(beta_j, theta_j), and the intercepts (beta0, theta0) as one (K+1)-vector.
 
-Each pass refreshes the unpenalized intercepts (beta0, theta0) by least
-squares on (1, Z), then visits a list of groups.  An active pass visits the
-groups with a nonzero block.  A full pass starts with the KKT report, one
-sweep of pulls over all groups: it returns the iterate if the report
-certifies it at ``tol_kkt``, else it visits the active groups and those the
-report finds failing their zero certificate.  The first pass is full, and
+Each pass refreshes the unpenalized intercepts by least squares on A, then
+visits a list of groups.  An active pass visits the groups with a nonzero
+block.  A full pass starts with the KKT report, one sweep of pulls over all
+groups: it returns the iterate if the report certifies it at ``tol_kkt``,
+else it visits the active groups and those the report finds failing their
+zero certificate.  The first pass is full, and
 so is the pass after one that settles, moving the residual by at most
 ``_SETTLE * tol_kkt`` in RMS, or finds nothing active.
 
 With K >= 2 modifiers and a positive group penalty, the first pass (full
-or active) that ends with the sign pattern of beta and theta it started
-with is followed by one Newton step over every active block at once, on
+or active) that ends with the sign pattern of the blocks it started with
+is followed by one Newton step over every active block at once, on
 that support and those signs (``_solve_active``); the objective is smooth
 there, where the passes contract slowly.  The step runs at most once per
 fit.  If it is accepted, the next pass is full, and its KKT report decides
@@ -152,13 +153,6 @@ def soft_threshold(x, t):
     return np.copysign(np.maximum(np.abs(x) - t, 0.0), x)
 
 
-def _zero_budget(a, rho):
-    """Theta-side bound of the joint zero certificate at beta pull ``a``:
-    the group-norm ball can spend only sqrt(rho^2 - a^2) on theta once it
-    absorbs the beta pull, plus rho from the theta-only norm."""
-    return rho + np.sqrt(np.maximum(rho * rho - np.square(a), 0.0))
-
-
 def _design(Z):
     """The intercept design A = [1, Z]."""
     return np.column_stack([np.ones(Z.shape[0]), Z])
@@ -183,7 +177,8 @@ def _zero_slack(a, q, rho, mu):
     per group."""
     excess = np.maximum(np.abs(q) - np.asarray(mu)[..., None], 0.0)
     norm = np.sqrt(np.square(excess).sum(axis=-1))
-    return np.maximum(np.abs(a) - rho, norm - _zero_budget(a, rho))
+    budget = rho + np.sqrt(np.maximum(rho * rho - np.square(a), 0.0))
+    return np.maximum(np.abs(a) - rho, norm - budget)
 
 
 def prox_group(z, c, l1):
@@ -228,9 +223,9 @@ def prox_group(z, c, l1):
 class Workspace:
     """Per-dataset caches reused across a path: the intercept design
     A = [1, Z] (also as A'/N) with its pseudoinverse, every block's Gram
-    matrix G_j = D_j'D_j / N, and the eigenbases of the exact joint solve
-    per group and theta support.  Nothing here has one entry per sample
-    and group."""
+    matrix G_j = D_j'D_j / N, the all-zero columns of X (G_00 = 0), and
+    the eigenbases of the exact joint solve per group and theta support.
+    Nothing here has one entry per sample and group."""
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -243,6 +238,8 @@ class Workspace:
         n, k1 = A.shape
         pairs = (A[:, :, None] * A[:, None, :]).reshape(n, k1 * k1)
         self.gram = (np.square(data.X).T @ pairs / n).reshape(-1, k1, k1)
+        # a warm start must be zero on these
+        self._zero_cols = np.flatnonzero(self.gram[:, 0, 0] == 0.0).tolist()
         # pseudoinverse handles a rank-deficient Z (e.g. Z identically zero)
         # with the minimum-norm intercepts instead of failing mid-fit
         self._a_pinv = np.linalg.pinv(A)
@@ -295,7 +292,8 @@ def _block_minimize(gram, c, g0, rho, mu, cfg: SolverConfig):
     With D = [X_j, W_j] and partial residual r, the loss ||r - D g||^2 / 2N
     is 0.5 g'G g - c'g + const for G = D'D/N (``gram``) and c = D'r/N, so
     every iteration works on (K+1)-vectors only, and L, the largest
-    eigenvalue of G, bounds its curvature exactly.  Each step takes
+    eigenvalue of G, bounds its curvature exactly; L >= G_00 > 0, since the
+    fitter visits no all-zero column of X.  Each step takes
     g_new = T(y) at the momentum point y, with
     T(y) = prox_group(y - t (G y - c), t rho, t mu)
     on the stacked block, so no step splits or restacks g.  T is
@@ -304,8 +302,7 @@ def _block_minimize(gram, c, g0, rho, mu, cfg: SolverConfig):
     when the step points against the last move, (y - g_new)'(g_new - g) > 0;
     the step is kept either way.
     """
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    t = 1.0 / lip if lip > 0 else 1.0
+    t = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
     g = np.array(g0, dtype=float)
     g_prev = g
     k = 1
@@ -444,6 +441,17 @@ def _solve_on_support(gram, c, g0, rho, mu, support):
     return g
 
 
+def _beta_only(c0, g00, rho):
+    """(b, budget) of the beta-only point (b, 0) of a block whose beta pull
+    is c0 and Gram entry G_00: b = S(c0, rho) / G_00, and the budget that
+    the soft-thresholded theta pull at (b, 0) must stay within for the
+    point to be the block minimizer.  The budget is rho once b != 0; at
+    b = 0 it is the zero certificate's rho + sqrt(rho^2 - c0^2)."""
+    if abs(c0) > rho:
+        return math.copysign(abs(c0) - rho, c0) / g00, rho
+    return 0.0, rho + math.sqrt(max(rho * rho - c0 * c0, 0.0))
+
+
 def _k1_joint(e1, e2, cs, sn, c0, c1, rho):
     """Stationary point of 0.5 g'G g - c'g + rho ||g||_2 with g != 0, or
     None when there is none; G = V diag(e1, e2) V' with V's first column
@@ -508,10 +516,9 @@ def _solve_k1(gram, c, rho, mu):
         0.5 g'G g - c'g + rho ||(b, t)||_2 + (rho + mu) |t|,    g = (b, t),
 
     as plain floats.  The block is convex, so one of two cases is
-    self-consistent.  Either t = 0 and b is the scalar soft-threshold
-    b = S(c_0, rho) / G_00, which holds when the soft-thresholded theta pull
-    at (b, 0) is at most its budget: rho once b != 0, and at b = 0 the zero
-    certificate's rho + sqrt(rho^2 - c_0^2), as in the K >= 2 visit.  Or
+    self-consistent.  Either t = 0 and b is the beta-only point of
+    ``_beta_only``, which holds when the soft-thresholded theta pull at
+    (b, 0) is at most its budget, as in the K >= 2 visit.  Or
     t != 0 with sign s, where (rho + mu)|t| is linear and the block is a
     group lasso with c - (rho + mu) s e_2 (Friedman, Hastie and Tibshirani
     2010), solved in the eigenbasis of G, which may be singular (x_j o z
@@ -519,11 +526,9 @@ def _solve_k1(gram, c, rho, mu):
     the candidate with the lowest block objective is returned."""
     (g00, g01), (_, g11) = gram
     c0, c1 = c
-    # an all-zero x_j has c = 0, so b = 0 and G_00 is never divided by
-    b = math.copysign(abs(c0) - rho, c0) / g00 if abs(c0) > rho else 0.0
+    b, budget = _beta_only(c0, g00, rho)
     pull = c1 - g01 * b
-    if max(abs(pull) - mu, 0.0) <= (
-            rho if b else rho + math.sqrt(max(rho * rho - c0 * c0, 0.0))):
+    if max(abs(pull) - mu, 0.0) <= budget:
         return b, 0.0
     rm = rho + mu
     cands = [(0.0, 0.0), (b, 0.0)]
@@ -552,11 +557,11 @@ def _solve_k1(gram, c, rho, mu):
 # KKT / subgradient residuals
 
 
-def _kkt_arrays(data: Dataset, at, r, beta, theta, lam, alpha) -> KktReport:
-    """KKT report at residual r of the dense coefficients beta (p,) and
-    theta (p, K), with ``at`` = A'/N for the intercept design A = [1, Z].
-    Zero blocks take their zero-certificate slack; each active block j
-    takes the larger of
+def _kkt_arrays(data: Dataset, at, r, coef, lam, alpha) -> KktReport:
+    """KKT report at residual r of the blocks ``coef`` (p, K+1), row j
+    holding (beta_j, theta_j), with ``at`` = A'/N for the intercept design
+    A = [1, Z].  Zero blocks take their zero-certificate slack; each active
+    block j takes the larger of
 
         |rho b / gn - a|                                   (beta_j)
         max(||S(q, mu)||_2 - rho, 0)            if theta_j = 0, else
@@ -569,8 +574,8 @@ def _kkt_arrays(data: Dataset, at, r, beta, theta, lam, alpha) -> KktReport:
     mu = alpha * lam
     a_all, q_all = _pulls(data.X, at, r)
     per = np.maximum(_zero_slack(a_all, q_all, rho, mu), 0.0)
-    act = np.flatnonzero((beta != 0.0) | theta.any(axis=1))
-    b, th, q = beta[act], theta[act], q_all[act]
+    act = np.flatnonzero(coef.any(axis=1))
+    b, th, q = coef[act, 0], coef[act, 1:], q_all[act]
     tn = np.sqrt(np.square(th).sum(axis=1))
     gn = np.hypot(b, tn)
     res_b = np.abs(rho * b / gn - a_all[act])
@@ -595,7 +600,8 @@ def check_kkt(fit: PliableFit, data: Dataset, lam=None, alpha=None) -> KktReport
                                 fit.alpha if alpha is None else alpha)
     r = data.y - predict(fit, data.X, data.Z)
     at = _design(data.Z).T / data.n_samples
-    return _kkt_arrays(data, at, r, fit.beta, fit.theta, lam, alpha)
+    coef = np.column_stack((fit.beta, fit.theta))
+    return _kkt_arrays(data, at, r, coef, lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +655,7 @@ def _solve_active(ft):
     act = np.flatnonzero(ft._active())
     if not act.size:
         return False, 0
-    coef = np.column_stack((ft.beta, ft.theta))
+    coef = ft.coef
     sup = coef[act] != 0.0
     sup[:, 0] = True
     grp, kk = np.nonzero(sup)
@@ -702,12 +708,9 @@ def _solve_active(ft):
                 return False, 0
             break
         x, f = moved
-    ft.beta[jj[~th]] = x[~th]
-    ft.theta[jj[th], kk[th] - 1] = x[th]
+    coef[jj, kk] = x
     ft.r -= qm @ d
-    shift = proj @ d
-    ft.beta0 -= float(shift[0])
-    ft.theta0 = ft.theta0 - shift[1:]
+    ft.icpt = ft.icpt - proj @ d
     return True, it
 
 
@@ -743,6 +746,13 @@ def _newton_move(x, f, grad, hess, fixed, value, slack):
 
 
 class _Fitter:
+    """One fit at one penalty level, its state the model as written,
+    yhat = A icpt + sum_j x_j o (A coef_j): ``coef`` (p, K+1) holds the
+    block (beta_j, theta_j) in row j, ``icpt`` (beta0, theta0), ``rows``
+    the groups with a theta row and ``r`` the residual.  A warm start
+    nonzero on an all-zero column of X raises here; a cold fit never visits
+    one (its pulls are exactly 0), so no visit meets G_00 = 0."""
+
     def __init__(self, data, lam, cfg, warm, ws):
         self.data = data
         self.lam = lam
@@ -755,71 +765,61 @@ class _Fitter:
             warm = PliableFit.zeros(p, k)
         elif warm.n_predictors != p or warm.n_modifiers != k:
             raise ValueError("warm start has wrong dimensions")
-        self.beta = warm.beta.copy()
-        self.theta = warm.theta
-        self.beta0 = warm.beta0
-        self.theta0 = warm.theta0.copy()
-        # groups whose theta row is nonzero; every write to theta updates it
-        self.rows = self.theta.any(axis=1)
+        self.coef = np.concatenate((warm.beta[:, None], warm.theta), axis=1)
+        self.icpt = np.concatenate(([warm.beta0], warm.theta0))
+        self.rows = self.coef[:, 1:].any(axis=1)
+        for j in ws._zero_cols:
+            if self.coef[j].any():
+                raise ValueError(f"X column {j} is identically zero")
         self.r = data.y - _linear_predictor(warm, data.X, data.Z)
         self.n_passes = 0
         self.n_prox_capped = 0
 
     def _refresh_intercepts(self):
-        target = self.r + self.beta0 + self.data.Z @ self.theta0
-        coef = self.ws.solve_intercepts(target)
-        self.beta0 = float(coef[0])
-        self.theta0 = coef[1:]
-        self.r = target - self.beta0 - self.data.Z @ self.theta0
+        Z = self.data.Z
+        target = self.r + self.icpt[0] + Z @ self.icpt[1:]
+        self.icpt = self.ws.solve_intercepts(target)
+        self.r = target - self.icpt[0] - Z @ self.icpt[1:]
 
     def _active(self):
-        return (self.beta != 0.0) | self.rows
+        return (self.coef[:, 0] != 0.0) | self.rows
 
     def _update_group(self, j):
         """One K != 1 block visit, in Gram form like the K = 1 visit: the
         pull of the partial residual is c = (A'/N)(x_j o r) + G_j g0 at the
         current block g0, so r_{-j} is never formed.  On that c, in order:
         the exact solve on the row's support (``_solve_on_support``; rows
-        only, at rho > 0), the beta-only soft-threshold
-        b = S(c_0, rho) / G_00 with theta pinned at zero, and the joint prox
-        loop.  The beta-only test is the subgradient condition of (b, 0), so
-        at b = 0 it is the zero certificate, and the visit needs no
-        certificate of its own.  The residual takes one update."""
+        only, at rho > 0), the beta-only point (b, 0) of ``_beta_only``, and
+        the joint prox loop.  The beta-only test is the subgradient
+        condition of (b, 0), so at b = 0 it is the zero certificate, and the
+        visit needs no certificate of its own.  The residual takes one
+        update."""
         ws, rho = self.ws, self.rho
         x_j = self.data.X[:, j]
         gram = ws.gram[j]
-        b_old = self.beta.item(j)
-        g0 = np.zeros(gram.shape[0])
-        g0[0] = b_old
-        if self.rows[j]:
-            g0[1:] = self.theta[j]
+        g0 = self.coef[j].copy()
         c = ws.at @ (x_j * self.r) + gram @ g0
         g = None
         if self.rows[j] and rho > 0.0:
             g = _solve_on_support(gram, c, g0, rho, self.mu,
-                                  ws.support(j, self.theta[j]))
+                                  ws.support(j, g0[1:]))
         if g is None:
-            if gram.item(0, 0) == 0.0:
-                raise ValueError(f"X column {j} is identically zero")
-            c0 = c.item(0)
-            b = (math.copysign(abs(c0) - rho, c0) / gram.item(0, 0)
-                 if abs(c0) > rho else 0.0)
-            # the theta pull at (b, 0) and its budget: rho once b != 0, the
-            # zero certificate's at b = 0
-            sq = soft_threshold((c - b * gram[:, 0])[1:], self.mu)
-            if math.sqrt(sq @ sq) <= (rho if b else _zero_budget(c0, rho)):
+            b, budget = _beta_only(c.item(0), gram.item(0, 0), rho)
+            # the norm of the soft-thresholded theta pull at (b, 0)
+            excess = np.maximum(np.abs(c[1:] - b * gram[1:, 0]) - self.mu,
+                                0.0)
+            if math.sqrt(excess @ excess) <= budget:
                 if not self.rows[j]:
-                    self.beta[j] = b
-                    self.r -= x_j * (b - b_old)
+                    self.r -= x_j * (b - g0.item(0))
+                    self.coef[j, 0] = b
                     return
                 g = np.zeros_like(c)
                 g[0] = b
         if g is None:
             g, stopped = _block_minimize(gram, c, g0, rho, self.mu, self.cfg)
             self.n_prox_capped += not stopped
-        self.beta[j] = g[0]
-        self.rows[j] = has_row = bool(g[1:].any())
-        self.theta[j] = g[1:] if has_row else 0.0
+        self.coef[j] = g
+        self.rows[j] = g[1:].any()
         self._move(x_j, g - g0)
 
     def _move(self, x_j, step):
@@ -832,29 +832,29 @@ class _Fitter:
         partial residual is (A'/N)(x_j o r) + G g_old, so r_{-j} is never
         formed."""
         x_j = self.data.X[:, j]
-        b_old, t_old = self.beta.item(j), self.theta.item(j, 0)
+        b_old, t_old = self.coef[j].tolist()
         c0, c1 = (self.ws.at @ (x_j * self.r)).tolist()
         gram = self.ws.gram[j].tolist()
         (g00, g01), (_, g11) = gram
         if b_old or t_old:
-            if g00 == 0.0:
-                raise ValueError(f"X column {j} is identically zero")
             c0 += g00 * b_old + g01 * t_old
             c1 += g01 * b_old + g11 * t_old
         b, t = _solve_k1(gram, (c0, c1), self.rho, self.mu)
         if b != b_old or t != t_old:
             self._move(x_j, np.array((b - b_old, t - t_old)))
-            self.beta[j] = b
-            self.theta[j, 0] = t
+            self.coef[j, 0] = b
+            self.coef[j, 1] = t
             self.rows[j] = t != 0.0
 
     def _kkt(self):
-        return _kkt_arrays(self.data, self.ws.at, self.r, self.beta,
-                           self.theta, self.lam, self.cfg.alpha)
+        return _kkt_arrays(self.data, self.ws.at, self.r, self.coef,
+                           self.lam, self.cfg.alpha)
 
     def _build_fit(self):
-        return PliableFit.from_dense(self.beta0, self.theta0, self.beta,
-                                     self.theta, self.lam, self.cfg.alpha)
+        coef = self.coef
+        rows = {j: coef[j, 1:] for j in np.flatnonzero(self.rows).tolist()}
+        return PliableFit(self.icpt[0], self.icpt[1:], coef[:, 0], rows,
+                          self.lam, self.cfg.alpha)
 
     def run(self):
         """Passes until a full pass's KKT report certifies the iterate at
@@ -862,7 +862,7 @@ class _Fitter:
         ConvergenceError after ``max_outer_iters`` passes.
 
         At K >= 2 and rho > 0, the first pass that ends with the signs of
-        beta and theta it started with is followed by ``_solve_active``,
+        the blocks it started with is followed by ``_solve_active``,
         once per fit, whether or not it is accepted.  An accepted step
         moves the iterate, so the next pass is full: its report returns the
         fit or names the groups to visit."""
@@ -891,13 +891,12 @@ class _Fitter:
                 visit = np.flatnonzero(
                     self._active() | (report.per_group > 0.0)).tolist()
             if newton:
-                signs = np.sign(self.beta), np.sign(self.theta)
+                signs = np.sign(self.coef)
             for j in visit:
                 update(j)
             move = self.r - r_start
             full_pass = move @ move <= settle
-            if newton and np.array_equal(signs[0], np.sign(self.beta)) \
-                    and np.array_equal(signs[1], np.sign(self.theta)):
+            if newton and np.array_equal(signs, np.sign(self.coef)):
                 newton = False
                 full_pass |= _solve_active(self)[0]
         report = self._kkt()
@@ -921,7 +920,8 @@ def fit_single_lambda(data: Dataset, lam: float, config: SolverConfig | None = N
     data : standardized Dataset (see preprocess.standardize).
     lam : penalty level, >= 0.
     config : SolverConfig; defaults used when omitted.
-    warm : optional warm-start fit with matching dimensions.
+    warm : optional warm-start fit with matching dimensions; ValueError if
+        it is nonzero on an all-zero column of X.
     workspace : optional Workspace built on ``data``, reused across levels.
     return_diagnostics : also return pass counts and the final KKT report.
     """

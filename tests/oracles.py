@@ -50,6 +50,13 @@ def lasso_cd(X, y, lam, tol=1e-13, max_iter=50000, init=None):
     return b0, b
 
 
+def interaction_block(X, Z, j):
+    """W_j = X_j o Z: column j of X multiplied elementwise into each Z
+    column."""
+    X = np.asarray(X, dtype=float)
+    return X[:, j, None] * np.asarray(Z, dtype=float)
+
+
 def prox_objective(beta, theta, zeta_beta, zeta_theta, c, l1):
     """Objective of the block proximal problem, evaluated with plain loops."""
     theta = np.asarray(theta, dtype=float)

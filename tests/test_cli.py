@@ -504,6 +504,23 @@ class TestExitCodes:
         assert rc == 2
         assert "modifier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    @pytest.mark.parametrize("z_cols, message", [
+        ("w,w", "column 'w' is named twice"),
+        ("y", "column 'y' is named twice")])
+    def test_bad_modifier_columns_are_2(self, tmp_path, capsys, command,
+                                        z_cols, message):
+        data = tmp_path / "d.tsv"
+        write_training_file(data, seed=7)
+        model = tmp_path / "m.json"
+        argv = [command, "--data", str(data), "--z-cols", z_cols,
+                "--model", str(model), "--nlambda", "4"]
+        if command == "cv":
+            argv += ["--output", str(tmp_path / "o.tsv"), "--folds", "3"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
     def test_constant_column_is_2(self, tmp_path, capsys):
         f = tmp_path / "c.tsv"
         f.write_text("y\tx0\tx1\n1\t1\t2\n2\t1\t3\n3\t1\t4\n4\t1\t5\n")

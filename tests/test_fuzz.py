@@ -165,7 +165,6 @@ _CASES = [
      lambda v: P.run_hte_scenario("a", n_folds=v), "n_folds", _bad_int(2)),
 ]
 _INDEX_CASES = [
-    ("interaction_block.j", lambda v: P.interaction_block(_X, _Z, v), "j"),
     ("PathResult.fit_raw.index", lambda v: _PATH.fit_raw(v), "index"),
     ("PathResult.predict.index",
      lambda v: _PATH.predict(_X, _Z, index=v), "index"),
@@ -193,7 +192,7 @@ def test_bad_numeric_argument_raises_naming_it(case):
        value=st.one_of(st.integers(max_value=-1), st.integers(min_value=3),
                        st.floats(), _NON_FINITE))
 def test_bad_index_raises_and_never_wraps(case, value):
-    # every index above has 3 valid values, 0 to 2 (3 columns, 3 levels)
+    # every index above has 3 valid values, 0 to 2 (3 levels)
     label, call, name = case
     with pytest.raises(IndexError, match=name):
         out = call(value)
@@ -451,12 +450,14 @@ def _argv(draw, files):
             bad_flag = bad_flag or value in invalid
             argv += [flag, value]
     if cmd in ("fit", "cv", "unknownz"):
-        # a named column the file lacks is a data error; the test rows have
-        # no response column y, as response (the default) or as a modifier
+        # a named column the file lacks is a data error, and so is one
+        # named twice, as response and modifier; the test rows have no
+        # response column y, as response (the default) or as a modifier
         columns = {"x1", "x2", "x3", "z1"} | ({"y"} if data == "good" else set())
         named = [picked.get("--y-col", "y")] + [
             c for c in picked.get("--z-cols", "").split(",") if c]
-        bad_file = bad_file or not columns.issuperset(named)
+        bad_file = bad_file or not columns.issuperset(named) \
+            or len(set(named)) < len(named)
     # keep the built-in experiments small
     if cmd in ("hte", "unknownz") and "--folds" not in argv:
         argv += ["--folds", "2"]

@@ -100,6 +100,17 @@ class TestSplitColumns:
         with pytest.raises(DataFormatError, match="no predictor"):
             split_columns(["y", "w"], np.zeros((1, 2)), "y", ["w"])
 
+    def test_repeated_modifier(self):
+        # two copies of one modifier make Z exactly collinear
+        with pytest.raises(DataFormatError,
+                           match="column 'w' is named twice"):
+            split_columns(self.names, self.mat, "y", ["w", "w"])
+
+    def test_response_as_modifier(self):
+        with pytest.raises(DataFormatError, match="column 'y' is named "
+                                                  "twice"):
+            split_columns(self.names, self.mat, "y", ["w", "y"])
+
 
 class TestWriteTable:
     def test_round_trip_with_reader(self, tmp_path):

@@ -16,8 +16,7 @@ from hypothesis import (assume, event, example, given, settings,
 
 from plasso import solver
 from plasso.io import load_model, save_model
-from plasso.model import (Dataset, PliableFit, interaction_block, objective,
-                          predict)
+from plasso.model import Dataset, PliableFit, objective, predict
 from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SPEC_NAMES, SimSpec, generate
@@ -26,9 +25,9 @@ from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
                            _solve_on_support, check_kkt, fit_single_lambda,
                            prox_group)
 
-from oracles import (block_residual_oracle, kkt_per_group_oracle,
-                     lambda_max_per_group, satisfies_hierarchy,
-                     zero_threshold_oracle)
+from oracles import (block_residual_oracle, interaction_block,
+                     kkt_per_group_oracle, lambda_max_per_group,
+                     satisfies_hierarchy, zero_threshold_oracle)
 
 
 @contextlib.contextmanager
@@ -622,8 +621,7 @@ def _newton_case(seed, n, p, k, frac, alpha, shift, loose, min_step=None):
     cfg = SolverConfig(alpha=alpha, tol_kkt=1e-6)
     ft = _Fitter(data, lam, cfg, warm, Workspace(data))
     ft._refresh_intercepts()
-    before = (ft.beta.copy(), ft.theta.copy(), ft.r.copy(), ft.beta0,
-              ft.theta0.copy(), ft.rows.copy())
+    before = (ft.coef.copy(), ft.r.copy(), ft.icpt.copy(), ft.rows.copy())
     f0 = objective(ft._build_fit(), data).total
     with newton_moves(min_step) as moves:
         accepted, iters = solver._solve_active(ft)
@@ -639,14 +637,15 @@ def _check_newton_step(ft, before, f0, accepted, stationary):
     objective."""
     data = ft.data
     if not accepted:
-        for a, b in zip(before, (ft.beta, ft.theta, ft.r, ft.beta0,
-                                 ft.theta0, ft.rows)):
+        for a, b in zip(before, (ft.coef, ft.r, ft.icpt, ft.rows)):
             np.testing.assert_array_equal(a, b)
         return
-    b0, th0, _, _, _, rows = before
+    coef0, _, _, rows = before
     np.testing.assert_array_equal(ft.rows, rows)
-    np.testing.assert_array_equal(np.sign(ft.theta), np.sign(th0))
-    np.testing.assert_array_equal(np.sign(ft.beta[~rows]), np.sign(b0[~rows]))
+    np.testing.assert_array_equal(np.sign(ft.coef[:, 1:]),
+                                  np.sign(coef0[:, 1:]))
+    np.testing.assert_array_equal(np.sign(ft.coef[~rows, 0]),
+                                  np.sign(coef0[~rows, 0]))
     fit = ft._build_fit()
     np.testing.assert_allclose(ft.r, data.y - predict(fit, data.X, data.Z),
                                rtol=0.0, atol=1e-12 * max(
@@ -659,13 +658,13 @@ def _check_newton_step(ft, before, f0, accepted, stationary):
     # beta and each theta entry on its row's support
     rho, mu = ft.rho, ft.mu
     n = data.n_samples
-    act = np.flatnonzero((ft.beta != 0.0) | ft.rows)
+    act = np.flatnonzero(ft.coef.any(axis=1))
     a = data.X.T @ ft.r / n
     q = data.X.T @ (data.Z * ft.r[:, None]) / n
     for j in act:
-        th = ft.theta[j]
-        gn = np.hypot(ft.beta[j], np.linalg.norm(th))
-        res = [rho * ft.beta[j] / gn - a[j]]
+        b, th = ft.coef[j, 0], ft.coef[j, 1:]
+        gn = np.hypot(b, np.linalg.norm(th))
+        res = [rho * b / gn - a[j]]
         if ft.rows[j]:
             on = th != 0.0
             res.extend((rho * th * (1.0 / gn + 1.0 / np.linalg.norm(th))

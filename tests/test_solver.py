@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plasso.io import save_model
-from plasso.model import Dataset, PliableFit, interaction_block, objective, predict
+from plasso.model import Dataset, PliableFit, objective, predict
 from plasso.path import fit_path, lambda_max
 from plasso.preprocess import standardize
 from plasso.simulate import SimSpec, generate
@@ -14,8 +14,8 @@ from plasso.solver import (ConvergenceError, SolverConfig, Workspace,
                            ProxSolveError, check_kkt, fit_single_lambda,
                            prox_group, soft_threshold)
 
-from oracles import (lasso_cd, norm_equation_residuals, prox_objective,
-                     prox_oracle, satisfies_hierarchy)
+from oracles import (interaction_block, lasso_cd, norm_equation_residuals,
+                     prox_objective, prox_oracle, satisfies_hierarchy)
 from test_properties import objective_spy
 
 
@@ -189,14 +189,49 @@ class TestSolverConfig:
 
 class TestSingleBlockOps:
     def test_beta_only_zero_column_rejected(self):
-        # a warm start puts group 0 in the active set, so the beta-only move
-        # meets the all-zero column instead of the zero certificate
+        # a warm start nonzero on an all-zero column is rejected when the
+        # fitter takes it, before any pass
         rng = np.random.default_rng(2)
         X = np.column_stack([np.zeros(4), rng.standard_normal(4)])
         data = Dataset(rng.standard_normal(4), X, np.ones((4, 1)))
         warm = PliableFit(0.0, np.zeros(1), np.array([1.0, 0.0]), {})
         with pytest.raises(ValueError, match="column 0"):
             fit_single_lambda(data, 1.0, warm=warm)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_zero_column_rejected_without_modifiers(self, lam):
+        # at K = 0 too; at lam = 0 a warm start at the least-squares fit of
+        # the other column would certify in its first pass
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(4)
+        data = Dataset(rng.standard_normal(4), np.column_stack([np.zeros(4),
+                                                                x]))
+        b = (x - x.mean()) @ data.y / ((x - x.mean()) @ (x - x.mean()))
+        warm = PliableFit(0.0, np.zeros(0), np.array([1.0, b]), {})
+        with pytest.raises(ValueError,
+                           match="X column 0 is identically zero"):
+            fit_single_lambda(data, lam, warm=warm)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_cold_fit_leaves_zero_column_at_zero(self, k):
+        # the fitter never visits an all-zero column from a cold start: its
+        # pulls are exactly zero, so its zero certificate holds at every
+        # lam, 0 included, and it never divides by its G_00 = 0
+        rng = np.random.default_rng(8 + k)
+        X = rng.standard_normal((40, 3))
+        X[:, 1] = 0.0
+        Z = rng.standard_normal((40, k)) if k else None
+        y = X[:, 0] - X[:, 2] + rng.standard_normal(40)
+        if k:
+            y += X[:, 0] * Z[:, 0]
+        data = Dataset(y, X, Z)
+        for lam in (0.5, 0.05, 0.0):
+            fit, diag = fit_single_lambda(data, lam, return_diagnostics=True)
+            assert fit.beta[1] == 0.0 and 1 not in fit.theta_rows
+            assert fit.beta[0] != 0.0
+            assert diag.kkt.per_group[1] == 0.0
+            assert diag.kkt.max_violation <= SolverConfig().tol_kkt
+            assert check_kkt(fit, data).max_violation <= SolverConfig().tol_kkt
 
     def test_zero_certificate_passes_on_noise_fails_on_signal(self):
         rng = np.random.default_rng(3)
@@ -292,9 +327,8 @@ class TestRowVisit:
                 assert np.hypot(fit.beta[j], np.linalg.norm(row)) > 1e-100
 
     def test_zero_column_with_row_rejected(self):
-        # a warm theta row on an all-zero column: the exact solve declines
-        # and the beta-only move names the column, as for a beta-only warm
-        # start (TestSingleBlockOps)
+        # a warm theta row on an all-zero column is rejected before any
+        # visit, as a beta-only warm start is (TestSingleBlockOps)
         rng = np.random.default_rng(2)
         X = np.column_stack([np.zeros(6), rng.standard_normal(6)])
         data = Dataset(rng.standard_normal(6), X, rng.standard_normal((6, 2)))
@@ -689,8 +723,7 @@ class TestActiveNewton:
         inner = plasso.solver._solve_active
 
         def state(ft):
-            return (ft.beta.copy(), ft.theta.copy(), ft.r.copy(), ft.beta0,
-                    ft.theta0.copy())
+            return ft.coef.copy(), ft.r.copy(), ft.icpt.copy()
 
         def spy(ft):
             before = state(ft)
@@ -754,7 +787,7 @@ class TestActiveNewton:
         ft = plasso.solver._Fitter(data, 0.1, SolverConfig(), warm,
                                    Workspace(data))
         ft._refresh_intercepts()
-        beta, r = ft.beta.copy(), ft.r.copy()
+        coef, r = ft.coef.copy(), ft.r.copy()
         assert plasso.solver._solve_active(ft) == (False, 0)
-        np.testing.assert_array_equal(ft.beta, beta)
+        np.testing.assert_array_equal(ft.coef, coef)
         np.testing.assert_array_equal(ft.r, r)
